@@ -51,6 +51,7 @@ from .scalars import (
     laurent_arith,
 )
 from .series import (
+    ModeUnavailableError,
     SeriesError,
     SeriesReport,
     Subspace,

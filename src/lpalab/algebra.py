@@ -264,17 +264,30 @@ class LeavittAlgebra:
         self._require_context(a)
         self._require_context(b)
         f = self.field
+        add, mul, is_zero, zero, from_int = f.add, f.mul, f.is_zero, f.zero, f.from_int
+        src, mono_mul, nf_mono = self._src, self._mono_mul, self._nf_mono
+        # A product of monomials is zero unless the ghost boundary vertex of
+        # the left factor is the real boundary vertex of the right one.
+        by_left: dict = {}
+        for m2, c2 in b.terms.items():
+            sig = m2[0]
+            by_left.setdefault(src[sig[0]] if sig else m2[2], []).append((m2, c2))
         out: dict = {}
+        get, pop = out.get, out.pop
         for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                p = self._mono_mul(m1, m2)
+            mu = m1[1]
+            bucket = by_left.get(src[mu[0]] if mu else m1[2])
+            if bucket is None:
+                continue
+            for m2, c2 in bucket:
+                p = mono_mul(m1, m2)
                 if p is None:
                     continue
-                c = f.mul(c1, c2)
-                for bm, s in self._nf_mono(p).items():
-                    cc = f.add(out.get(bm, f.zero), c if s == 1 else f.mul(c, f.from_int(s)))
-                    if f.is_zero(cc):
-                        out.pop(bm, None)
+                c = mul(c1, c2)
+                for bm, s in nf_mono(p).items():
+                    cc = add(get(bm, zero), c if s == 1 else mul(c, from_int(s)))
+                    if is_zero(cc):
+                        pop(bm, None)
                     else:
                         out[bm] = cc
         return Element(self, out)

@@ -26,7 +26,7 @@ from .graphs import (
     is_acyclic,
     match_pattern,
 )
-from .series import SeriesError, SeriesReport, solvability_probe
+from .series import ModeUnavailableError, SeriesReport, solvability_probe
 
 INDEX_NOTE = ("index = smallest n with the n-th derived step zero; "
               "a zero skew part has index 0")
@@ -172,7 +172,7 @@ def cross_validate(g: Graph, fld, mode: str = "auto", weight: int = 6,
     if mode == "auto":
         mode = "exact" if acyclic else "truncated"
     if mode == "exact" and not acyclic:
-        raise SeriesError("exact mode requires an acyclic materialized graph")
+        raise ModeUnavailableError("exact mode requires an acyclic materialized graph")
     notes = []
     if structure == "jordan" and fld.characteristic != 2:
         # No classified Jordan prediction away from characteristic 2: the

@@ -29,7 +29,7 @@ from .matrices import (
     witness_nilpotent_char2,
 )
 from .scalars import LaurentRing, ScalarError, field_from_spec, field_of_characteristic
-from .series import SeriesError
+from .series import ModeUnavailableError, SeriesError
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -143,7 +143,8 @@ def _cmd_corpus(args) -> int:
                 rep = cross_validate(g, fld, mode="auto", weight=args.weight,
                                      depth=args.depth)
                 status = rep.status
-            except (GraphError, SeriesError, ScalarError) as exc:
+            except (GraphError, SeriesError, ScalarError, AlgebraError, OSError,
+                    json.JSONDecodeError) as exc:
                 status = "ERROR"
                 entries.append({"file": path.name, "field": repr(fld), "status": status,
                                 "error": str(exc)})
@@ -223,13 +224,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SeriesError as exc:
-        if "exact mode" in str(exc):
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_UNAVAILABLE
+    except ModeUnavailableError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (GraphError, ScalarError, AlgebraError, MatrixLabError, ExprError,
+        return EXIT_UNAVAILABLE
+    except (SeriesError, GraphError, ScalarError, AlgebraError, MatrixLabError, ExprError,
             OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

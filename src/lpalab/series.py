@@ -4,8 +4,10 @@ lower central series built on it.
 A Subspace is a canonical reduced echelon basis: rows are sparse dicts
 {key: coefficient}, the pivot of each row is its least key under the supplied
 order, pivots strictly increase down the row list, every pivot has coefficient
-one and is eliminated from all other rows.  Two subspaces are equal iff their
-row lists are identical, which makes vanish detection exact.
+one and appears in no other row.  Two subspaces are equal iff their row lists
+are identical, so a series stops at the first step that repeats its
+predecessor, and the witness of a step (its first row) is the least-pivot row
+of that canonical basis.
 
 The same machinery serves the path algebra (keys are monomials) and the
 matrix rings (keys are entry coordinates, possibly with a Laurent exponent).
@@ -13,6 +15,7 @@ matrix rings (keys are entry coordinates, possibly with a Laurent exponent).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,22 +27,29 @@ class SeriesError(ValueError):
     pass
 
 
-class Subspace:
-    """Reduced echelon span of sparse rows over an exact field."""
+class ModeUnavailableError(SeriesError):
+    """The requested computation mode does not apply to this graph (exact
+    mode on a graph with a cycle)."""
 
-    __slots__ = ("field", "key", "rows", "_pivots")
+
+class Subspace:
+    """Reduced echelon span of sparse rows over an exact field.
+
+    ``rows`` lists the basis in increasing pivot order; ``_pivot_keys`` holds
+    the sort key of each row's pivot in the same order (for bisection), and
+    ``_pivot_row`` maps each pivot to its row.  Because every pivot column is
+    zero in all rows but its own, clearing one pivot from a vector never brings
+    in another, so a reduction is one pass over the vector's pivot columns.
+    """
+
+    __slots__ = ("field", "key", "rows", "_pivot_keys", "_pivot_row")
 
     def __init__(self, fld, key: Callable = None):
         self.field = fld
-        self.key = key or (lambda k: k)
+        self.key = key
         self.rows: list = []
-        self._pivots: dict = {}
-
-    def copy(self) -> "Subspace":
-        s = Subspace(self.field, self.key)
-        s.rows = [dict(r) for r in self.rows]
-        s._pivots = {p: i for p, i in self._pivots.items()}
-        return s
+        self._pivot_keys: list = []
+        self._pivot_row: dict = {}
 
     @property
     def dim(self) -> int:
@@ -48,23 +58,24 @@ class Subspace:
     def _axpy(self, row: dict, c, other: dict):
         # row -= c * other, in place
         f = self.field
+        sub, mul, is_zero, zero = f.sub, f.mul, f.is_zero, f.zero
+        get, pop = row.get, row.pop
         for k, v in other.items():
-            s = f.sub(row.get(k, f.zero), f.mul(c, v))
-            if f.is_zero(s):
-                row.pop(k, None)
+            s = sub(get(k, zero), mul(c, v))
+            if is_zero(s):
+                pop(k, None)
             else:
                 row[k] = s
 
     def reduce(self, vec: dict) -> dict:
         """Remainder of vec against the current basis (vec not mutated)."""
-        f = self.field
         row = dict(vec)
-        while row:
-            p = min(row, key=self.key)
-            hit = self._pivots.get(p)
-            if hit is None:
-                return row
-            self._axpy(row, row[p], self.rows[hit])
+        pivot_row = self._pivot_row
+        for p, c in vec.items():
+            r = pivot_row.get(p)
+            if r is not None:
+                # Other rows are zero at p, so row[p] is still vec[p] here.
+                self._axpy(row, c, r)
         return row
 
     def insert(self, vec: dict) -> bool:
@@ -73,17 +84,22 @@ class Subspace:
         if not row:
             return False
         f = self.field
-        p = min(row, key=self.key)
-        inv = f.inv(row[p])
-        row = {k: f.mul(inv, v) for k, v in row.items()}
+        key = self.key
+        p = min(row, key=key) if key is not None else min(row)
+        c = row[p]
+        if c != f.one:
+            inv, mul = f.inv(c), f.mul
+            row = {k: mul(inv, v) for k, v in row.items()}
         # eliminate the new pivot from every existing row
         for r in self.rows:
             c = r.get(p)
             if c is not None:
                 self._axpy(r, c, row)
-        self.rows.append(row)
-        self.rows.sort(key=lambda r: self.key(min(r, key=self.key)))
-        self._pivots = {min(r, key=self.key): i for i, r in enumerate(self.rows)}
+        pk = key(p) if key is not None else p
+        i = bisect_right(self._pivot_keys, pk)
+        self._pivot_keys.insert(i, pk)
+        self.rows.insert(i, row)
+        self._pivot_row[p] = row
         return True
 
     def contains(self, vec: dict) -> bool:
@@ -134,10 +150,14 @@ def product_span(S: Subspace, T: Subspace, pair_op: Callable, same: bool = False
 class SeriesReport:
     """Dimensions of one solvability/nilpotency series run.
 
-    dims[k] is the dimension at step k (step 0 = the starting span).  In
-    truncated mode a nonzero step is sound evidence while a vanishing step is
-    not conclusive; the caveat says so.  ``stabilized`` marks a derived series
-    that reached a fixed nonzero subspace, which is definitive non-vanishing.
+    dims[k] is the dimension at step k (step 0 = the starting span).  A
+    series that reaches a fixed point ends at the first step whose span
+    equals its predecessor's; exact-mode steps are nested, so there that is
+    the first repeated dimension.  In truncated mode a nonzero step is sound
+    evidence while a vanishing step is not conclusive; the caveat says so.
+    ``stabilized`` marks a series that reached a fixed nonzero subspace,
+    which is definitive non-vanishing.  ``witness_text`` shows the
+    least-pivot row of the last nonzero step's reduced echelon basis.
     """
 
     kind: str
@@ -278,7 +298,7 @@ def solvability_probe(graph: Graph, fld, structure: str = "lie", mode: str = "ex
     algebra = LeavittAlgebra(graph, fld)
     if mode == "exact":
         if not is_acyclic(graph):
-            raise SeriesError("exact mode requires an acyclic materialized graph")
+            raise ModeUnavailableError("exact mode requires an acyclic materialized graph")
         bound = 2 * algebra.longest_path_length()
         used_weight = None
     elif mode == "truncated":

@@ -156,6 +156,20 @@ def test_corpus_command(tmp_path, capsys):
     assert [e["file"] for e in obj["entries"]][:2] == ["a_e3.json", "a_e3.json"]
 
 
+def test_corpus_isolates_unreadable_file(tmp_path, capsys):
+    d = tmp_path / "graphs"
+    d.mkdir()
+    (d / "a_bad.json").write_text("{bad")
+    (d / "b_e4.json").write_text(json.dumps(e4_graph(2).to_json_obj()))
+    code, out, _ = run(capsys, "corpus", "--dir", str(d), "--fields", "F2")
+    assert code == 1
+    obj = json.loads(out)
+    bad, good = obj["entries"]
+    assert bad["file"] == "a_bad.json" and bad["status"] == "ERROR" and bad["error"]
+    assert good == {"file": "b_e4.json", "field": "F2", "status": "AGREE"}
+    assert obj["summary"] == {"AGREE": 1, "CONSISTENT": 0, "FAIL": 0, "ERROR": 1}
+
+
 def test_text_mode(tmp_path, capsys):
     path = write_graph(tmp_path, "e3.json", e3_graph())
     code, out, _ = run(capsys, "classify", "--graph", path, "--char", "2", "--text")

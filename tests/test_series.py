@@ -8,8 +8,10 @@ import pytest
 
 from lpalab import (
     LeavittAlgebra,
+    ModeUnavailableError,
     SeriesError,
     Subspace,
+    cross_validate,
     derived_series,
     element_pair_op,
     element_subspace,
@@ -19,7 +21,9 @@ from lpalab import (
     graph_from_lists,
     lower_central_series,
     solvability_probe,
+    validate_graph,
 )
+from lpalab.algebra import mono_order_key
 from lpalab.series import laurent_corner_certificate, nonsolvability_certificate
 from helpers import (
     e1_graph,
@@ -55,10 +59,94 @@ def test_span_canonical_reduced_echelon():
     s2 = element_subspace(alg, [e1, e1 + e2, alg.scale(Fraction(3), e2)])
     assert s1 == s2
     assert s1.rows == s2.rows
-    # pivots strictly increasing, pivot coefficient one, pivots eliminated
-    for row in s1.rows:
-        keys = sorted(row)
-        assert row[keys[0]] == Q.one
+    # e2 first, then e1 + e2: the e1 row must lose its e2 entry.
+    s3 = element_subspace(alg, [e2, e1 + e2])
+    assert s3 == s1
+    for s in (s1, s2, s3):
+        _assert_reduced_echelon(s, mono_order_key)
+
+
+def _assert_reduced_echelon(s, key):
+    """Pivots (least keys) strictly increase down the rows, carry coefficient
+    one, and appear in no other row."""
+    pivots = [min(row, key=key) for row in s.rows]
+    assert all(key(a) < key(b) for a, b in zip(pivots, pivots[1:]))
+    for i, (p, row) in enumerate(zip(pivots, s.rows)):
+        assert row[p] == s.field.one
+        for j, other in enumerate(s.rows):
+            assert j == i or p not in other
+
+
+def _dense_rref(fld, vectors, key):
+    """Gauss-Jordan elimination on dense rows over the columns sorted by key;
+    returns the nonzero rows as sparse dicts."""
+    cols = sorted({k for v in vectors for k in v}, key=key)
+    rows = [[v.get(k, fld.zero) for k in cols] for v in vectors]
+    rank = 0
+    for c in range(len(cols)):
+        hit = next((i for i in range(rank, len(rows)) if not fld.is_zero(rows[i][c])), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        inv = fld.inv(rows[rank][c])
+        rows[rank] = [fld.mul(inv, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and not fld.is_zero(rows[i][c]):
+                m = rows[i][c]
+                rows[i] = [fld.sub(x, fld.mul(m, y)) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return [{k: x for k, x in zip(cols, row) if not fld.is_zero(x)} for row in rows[:rank]]
+
+
+def _random_vectors(fld, rng, keys, count):
+    """Sparse vectors over keys, about a third of them combinations of
+    earlier ones so that some inserts are rejected."""
+    out = []
+    for _ in range(count):
+        if out and rng.random() < 0.35:
+            v: dict = {}
+            for w in rng.sample(out, min(len(out), rng.randint(1, 3))):
+                c = fld.from_int(rng.randint(1, 4))
+                for k, x in w.items():
+                    s = fld.add(v.get(k, fld.zero), fld.mul(c, x))
+                    if fld.is_zero(s):
+                        v.pop(k, None)
+                    else:
+                        v[k] = s
+        else:
+            v = {}
+            for k in rng.sample(keys, rng.randint(1, 5)):
+                c = fld.from_int(rng.choice([-3, -2, -1, 1, 2, 3, 5]))
+                if not fld.is_zero(c):
+                    v[k] = c
+        out.append(v)
+    return [v for v in out if v]
+
+
+def test_subspace_against_dense_gauss_jordan():
+    rng = random.Random(20260)
+    monos = LeavittAlgebra(rose_graph(2), F2).basis_monomials(3)
+    entries = [(i, j) for i in range(4) for j in range(4)]
+    entries += [(i, j, e) for i in range(2) for j in range(2) for e in range(-2, 3)]
+    for fld in (F2, F3, Q):
+        for keys, key in ((monos, mono_order_key), (entries, None)):
+            sort_key = key or (lambda k: k)
+            for _ in range(12):
+                vectors = _random_vectors(fld, rng, keys, rng.randint(1, 14))
+                s = Subspace(fld, key)
+                for i, v in enumerate(vectors):
+                    grew = s.insert(v)
+                    assert grew == (len(_dense_rref(fld, vectors[: i + 1], sort_key))
+                                    > len(_dense_rref(fld, vectors[:i], sort_key)))
+                oracle = _dense_rref(fld, vectors, sort_key)
+                assert s.rows == oracle
+                assert s.dim == len(oracle)
+                _assert_reduced_echelon(s, sort_key)
+                for probe in _random_vectors(fld, rng, keys, 6):
+                    assert s.contains(probe) == (len(_dense_rref(fld, vectors + [probe], sort_key))
+                                                 == len(oracle))
+                for v in vectors:
+                    assert s.contains(v)
 
 
 def test_product_span_examples():
@@ -241,6 +329,41 @@ def test_probe_e1():
 def test_probe_exact_requires_acyclic():
     with pytest.raises(SeriesError, match="acyclic"):
         solvability_probe(e2_graph(), Q, "lie", "exact")
+    with pytest.raises(ModeUnavailableError):
+        solvability_probe(e2_graph(), Q, "lie", "exact")
+    with pytest.raises(ModeUnavailableError):
+        cross_validate(e2_graph(), Q, mode="exact")
+
+
+def _shuffled_graph(nv, edges, flagged, rng):
+    """Graph on vertices v0.. and edges e0.. with both declaration orders
+    shuffled; flagged names the infinite emitter, if any."""
+    vertices = [{"id": f"v{i}", "infinite_emitter": i == flagged} for i in range(nv)]
+    es = [{"id": f"e{k}", "src": f"v{s}", "dst": f"v{d}"} for k, (s, d) in enumerate(edges)]
+    rng.shuffle(vertices)
+    rng.shuffle(es)
+    return validate_graph({"vertices": vertices, "edges": es})
+
+
+@pytest.mark.parametrize("nv, edges, flagged, fld", [
+    (4, [(0, 1), (0, 1), (0, 2), (2, 1), (2, 1)], 0, F2),
+    (3, [(0, 1), (0, 1), (1, 2), (1, 2)], None, F2),
+    (4, [(0, 1), (0, 1), (0, 1), (2, 0)], None, Q),
+])
+def test_exact_fixed_point_independent_of_declaration_order(nv, edges, flagged, fld):
+    # Non-solvable acyclic graphs: the derived series reaches a nonzero fixed
+    # point, which an exact reduced echelon form detects at its first repeat
+    # whatever order the vertices and edges are declared in.
+    runs = []
+    for seed in range(6):
+        g = _shuffled_graph(nv, edges, flagged, random.Random(seed))
+        rep = solvability_probe(g, fld, "lie", "exact", max_depth=None)
+        assert rep.vanished_at is None and rep.stabilized
+        runs.append(rep.dims)
+    dims = runs[0]
+    assert all(d == dims for d in runs)
+    assert dims[-1] == dims[-2] > 0
+    assert all(a != b for a, b in zip(dims[:-2], dims[1:-1]))
 
 
 def test_truncation_monotone_in_weight():
