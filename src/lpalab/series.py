@@ -86,10 +86,8 @@ class Subspace:
         f = self.field
         key = self.key
         p = min(row, key=key) if key is not None else min(row)
-        c = row[p]
-        if c != f.one:
-            inv, mul = f.inv(c), f.mul
-            row = {k: mul(inv, v) for k, v in row.items()}
+        inv, mul = f.inv(row[p]), f.mul
+        row = {k: mul(inv, v) for k, v in row.items()}
         # eliminate the new pivot from every existing row
         for r in self.rows:
             c = r.get(p)
