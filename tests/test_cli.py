@@ -1,6 +1,9 @@
 """CLI contract: exit codes, JSON shapes, determinism."""
 
+import hashlib
 import json
+
+import pytest
 
 from lpalab.cli import main
 from helpers import e3_graph, e4_graph, f1_path_graph
@@ -190,3 +193,44 @@ def test_usage_error(capsys):
     code = main(["classify", "--char", "2"])
     capsys.readouterr()
     assert code == 2
+
+
+# sha256 of the exact stdout of `lpalab matrix ...`, recorded before the
+# Laurent and matrix arithmetic was rewritten; every case exits 0.
+MATRIX_GOLDEN = [
+    (("--case", "prop3a", "--field", "Q", "--steps", "12"),
+     "bb54903eb7445d05b742c71e7504ed0f28382bb6bf8c52ab4a43aea4ee6a9b86"),
+    (("--case", "prop3a", "--field", "F3"),
+     "08f6ebe5e3f049139baa29eca775ef4464996bbca6a046c75ad20b69ad123f10"),
+    (("--case", "prop3b", "--field", "F2"),
+     "abd116f5a0d0f05807fb1eaad30f5e4041a0206d0ae4eca69d2f6d60408bd1c4"),
+    (("--case", "prop3c-upper", "--field", "F2", "--samples", "50", "--degree", "3",
+      "--seed", "7"),
+     "b18f316bbeb1ba55f0cb16c73d6fbd3a577556265ab439cbc6b426a82361df73"),
+    (("--case", "prop3c-sharp", "--field", "F2"),
+     "17b2dde37d55a00139c9ab6b98e72911230312653c0bf5e79d13a766dc2f82b5"),
+    (("--case", "prop3d", "--field", "Q", "--steps", "6"),
+     "b9b7f80c30fc2761d305ee21df59aeec500fcf29b30b8d936c452524abb5d757"),
+    (("--case", "prop3d", "--field", "F3", "--steps", "4"),
+     "167b1a13ae2b2a8245ae3f5c8fc385d1d0d68a9afa29288a35f982a09fcbd543"),
+    (("--case", "cor-field", "--field", "F2"),
+     "bcc58198f2ece18c44e392732a9552b568883eed4831e9e425867a4efff5fc70"),
+    (("--case", "cor-field", "--field", "F3"),
+     "a6adcfd639d2e91ba259a32b867c2ea18c8c893e11ed0fe372ae6456080a6e21"),
+    (("--case", "cor-field", "--field", "Q"),
+     "ca98eb865ca7437fd4465796aba1de758936b0e0f5aa18595fdaf9605c73bd4f"),
+    (("--case", "cor-laurent", "--field", "F2", "--degree", "3", "--depth", "8"),
+     "e2bfb4a0de5d9c685ff2e935ee5fd16dce8ad74c25d29fb3ffb6b0cb50b3be6e"),
+    (("--case", "cor-laurent", "--field", "F3", "--degree", "2", "--depth", "6"),
+     "f80dbc9482d4cdb26eaf05c8f82f2e374a879ebfff4987ea0f41a1c8280a4afa"),
+    (("--case", "cor-laurent", "--field", "Q", "--degree", "2", "--depth", "4"),
+     "990d735d30a3e3e01e2ecfb41ebe10daf516346c6b7cb658d590037053acf5c7"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", MATRIX_GOLDEN,
+                         ids=[" ".join(argv[1:]) for argv, _ in MATRIX_GOLDEN])
+def test_matrix_case_golden_stdout(capsys, argv, digest):
+    code, out, err = run(capsys, "matrix", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
