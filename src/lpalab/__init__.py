@@ -45,10 +45,8 @@ from .scalars import (
     PrimeField,
     RationalField,
     ScalarError,
-    field_arith,
     field_from_spec,
     field_of_characteristic,
-    laurent_arith,
 )
 from .series import (
     ModeUnavailableError,

@@ -40,6 +40,23 @@ MATRIX_CASES = ("prop3a", "prop3b", "prop3c-upper", "prop3c-sharp", "prop3d",
                 "cor-field", "cor-laurent")
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low, so a vacuous count is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+COUNT = _int_at_least(1)
+
+
 def _load_graph(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -176,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="F2, F3, F5, or Q")
     p.add_argument("--mode", choices=("auto", "exact", "truncated"), default="auto")
     p.add_argument("--weight", type=int, default=6)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=COUNT, default=None)
     p.add_argument("--structure", choices=("lie", "jordan"), default="lie")
     p.add_argument("--text", action="store_true")
     p.add_argument("--out")
@@ -189,11 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default="1")
     p.add_argument("--c", default="1")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--steps", type=COUNT, default=None)
+    p.add_argument("--samples", type=COUNT, default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--degree", type=_int_at_least(0), default=3)
+    p.add_argument("--depth", type=COUNT, default=None)
     p.add_argument("--text", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_matrix)
@@ -208,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True)
     p.add_argument("--fields", default="F2,F3,Q")
     p.add_argument("--weight", type=int, default=6)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=COUNT, default=None)
     p.add_argument("--text", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_corpus)

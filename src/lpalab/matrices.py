@@ -65,21 +65,22 @@ def mat_neg(ctx, A):
 
 
 def mat_sub(ctx, A, B):
-    return mat_add(ctx, A, mat_neg(ctx, B))
+    sub = ctx.ring.sub
+    return tuple(tuple(sub(A[i][j], B[i][j]) for j in range(ctx.n)) for i in range(ctx.n))
 
 
 def mat_mul(ctx, A, B):
-    ring = ctx.ring
+    add, mul = ctx.ring.add, ctx.ring.mul
     n = ctx.n
     out = []
-    for i in range(n):
-        row = []
+    for row in A:
+        new = []
         for j in range(n):
-            acc = ring.zero
-            for k in range(n):
-                acc = ring.add(acc, ring.mul(A[i][k], B[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
+            acc = mul(row[0], B[0][j])
+            for k in range(1, n):
+                acc = add(acc, mul(row[k], B[k][j]))
+            new.append(acc)
+        out.append(tuple(new))
     return tuple(out)
 
 

@@ -7,11 +7,17 @@ sparse {exponent: coefficient} dicts that never store a zero coefficient, so
 the zero polynomial is the empty dict.  Coefficient growth is unbounded by
 design: several witness recursions cube their coefficients at every step, so
 fixed-width arithmetic would be a correctness bug, not an optimization.
+
+Laurent products run on plain Python ints: each field turns a factor's
+coefficients into integers over one common denominator, the product
+accumulates integer multiply-adds per exponent, and the field reduces each
+exponent once at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class ScalarError(ValueError):
@@ -94,6 +100,15 @@ class PrimeField:
     def to_str(self, a: int) -> str:
         return str(a % self.p)
 
+    def integer_coeffs(self, f: dict) -> tuple:
+        """(f, 1): canonical residues already are integer coefficients."""
+        return f, 1
+
+    def reduce_coeffs(self, acc: dict, den: int) -> dict:
+        """Residues of the integer coefficients in acc, zeros dropped."""
+        p = self.p
+        return {e: r for e, c in acc.items() if (r := c % p)}
+
 
 class RationalField:
     """Q with elements represented as Fraction (always reduced)."""
@@ -152,6 +167,16 @@ class RationalField:
     def to_str(self, a: Fraction) -> str:
         return str(a)
 
+    def integer_coeffs(self, f: dict) -> tuple:
+        """(ints, den) with f[e] == ints[e] / den, den the lcm of f's
+        denominators."""
+        den = lcm(*[c.denominator for c in f.values()])
+        return {e: c.numerator * (den // c.denominator) for e, c in f.items()}, den
+
+    def reduce_coeffs(self, acc: dict, den: int) -> dict:
+        """The fractions acc[e] / den, zeros dropped."""
+        return {e: Fraction(c, den) for e, c in acc.items() if c}
+
 
 _FIELDS = {"Q": RationalField(), "F2": PrimeField(2), "F3": PrimeField(3), "F5": PrimeField(5)}
 
@@ -171,19 +196,6 @@ def field_of_characteristic(c: int):
     if c == 0:
         return _FIELDS["Q"]
     return _FIELDS.get(f"F{c}", None) or PrimeField(c)
-
-
-def field_arith(field, op: str, x, y=None):
-    """Dispatch one field operation by name: add, neg, mul, inv."""
-    if op == "add":
-        return field.add(x, y)
-    if op == "neg":
-        return field.neg(x)
-    if op == "mul":
-        return field.mul(x, y)
-    if op == "inv":
-        return field.inv(x)
-    raise ScalarError(f"unknown field op: {op!r}")
 
 
 class LaurentRing:
@@ -228,48 +240,60 @@ class LaurentRing:
 
     def add(self, f: dict, g: dict) -> dict:
         out = dict(f)
-        fld = self.field
+        add = self.field.add
+        is_zero = self.field.is_zero
         for e, c in g.items():
-            s = fld.add(out.get(e, fld.zero), c)
-            if fld.is_zero(s):
-                out.pop(e, None)
+            if e in out:
+                s = add(out[e], c)
+                if is_zero(s):
+                    del out[e]
+                else:
+                    out[e] = s
             else:
-                out[e] = s
+                out[e] = c
         return out
 
     def neg(self, f: dict) -> dict:
-        fld = self.field
-        return {e: fld.neg(c) for e, c in f.items()}
+        neg = self.field.neg
+        return {e: neg(c) for e, c in f.items()}
 
     def sub(self, f: dict, g: dict) -> dict:
-        return self.add(f, self.neg(g))
-
-    def mul(self, f: dict, g: dict) -> dict:
+        out = dict(f)
         fld = self.field
-        out: dict = {}
-        for e1, c1 in f.items():
-            for e2, c2 in g.items():
-                e = e1 + e2
-                s = fld.add(out.get(e, fld.zero), fld.mul(c1, c2))
-                if fld.is_zero(s):
-                    out.pop(e, None)
+        sub, neg, is_zero = fld.sub, fld.neg, fld.is_zero
+        for e, c in g.items():
+            if e in out:
+                s = sub(out[e], c)
+                if is_zero(s):
+                    del out[e]
                 else:
                     out[e] = s
+            else:
+                out[e] = neg(c)
         return out
+
+    def mul(self, f: dict, g: dict) -> dict:
+        if not f or not g:
+            return {}
+        fld = self.field
+        fi, f_den = fld.integer_coeffs(f)
+        gi, g_den = fld.integer_coeffs(g)
+        gi = gi.items()
+        acc: dict = {}
+        for e1, c1 in fi.items():
+            for e2, c2 in gi:
+                e = e1 + e2
+                if e in acc:
+                    acc[e] += c1 * c2
+                else:
+                    acc[e] = c1 * c2
+        return fld.reduce_coeffs(acc, f_den * g_den)
 
     def smul(self, c, f: dict) -> dict:
         fld = self.field
         if fld.is_zero(c):
             return {}
         return {e: fld.mul(c, v) for e, v in f.items()}
-
-    def pow(self, f: dict, n: int) -> dict:
-        if n < 0:
-            raise ScalarError("negative power of a Laurent polynomial")
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, f)
-        return out
 
     def involute(self, f: dict) -> dict:
         return {-e: c for e, c in f.items()}
@@ -294,14 +318,3 @@ class LaurentRing:
             else:
                 parts.append(f"{cs}*x^{e}" if e != 1 else f"{cs}*x")
         return " + ".join(parts)
-
-
-def laurent_arith(ring: LaurentRing, op: str, f: dict, g: dict = None) -> dict:
-    """Dispatch one Laurent ring operation by name: add, mul, neg."""
-    if op == "add":
-        return ring.add(f, g)
-    if op == "mul":
-        return ring.mul(f, g)
-    if op == "neg":
-        return ring.neg(f)
-    raise ScalarError(f"unknown laurent op: {op!r}")

@@ -96,3 +96,60 @@ def build_corpus_graph(nv, edges):
         [f"v{i}" for i in range(nv)],
         [(f"e{k}", f"v{s}", f"v{d}") for k, (s, d) in enumerate(edges)],
     )
+
+
+# ----------------------------------------------------------------------
+# reference Laurent arithmetic: the schoolbook loops, one field-method call
+# per operation, that LaurentRing's add, sub and mul must agree with
+
+
+def ref_laurent_add(fld, f, g):
+    out = dict(f)
+    for e, c in g.items():
+        s = fld.add(out.get(e, fld.zero), c)
+        if fld.is_zero(s):
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def ref_laurent_sub(fld, f, g):
+    return ref_laurent_add(fld, f, {e: fld.neg(c) for e, c in g.items()})
+
+
+def ref_laurent_mul(fld, f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = e1 + e2
+            s = fld.add(out.get(e, fld.zero), fld.mul(c1, c2))
+            if fld.is_zero(s):
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def random_laurent(fld, rng, terms, low=-6, high=6):
+    """A Laurent polynomial with `terms` distinct exponents in [low, high],
+    every coefficient nonzero (with denominators over Q)."""
+    out = {}
+    for e in rng.sample(range(low, high + 1), terms):
+        c = fld.zero
+        while fld.is_zero(c):
+            c = random_field_elem(fld, rng)
+        out[e] = c
+    return out
+
+
+def assert_canonical_laurent(fld, f):
+    """No stored zero; residues are ints in [0, p); rationals are Fraction."""
+    from fractions import Fraction
+
+    for e, c in f.items():
+        assert type(e) is int
+        if fld.characteristic == 0:
+            assert type(c) is Fraction and c != 0
+        else:
+            assert type(c) is int and 0 < c < fld.p

@@ -189,6 +189,41 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["lie_index"] == 3
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("matrix", "--case", "prop3d", "--steps", "-2"), "--steps"),
+    (("matrix", "--case", "prop3a", "--field", "F3", "--steps", "0"), "--steps"),
+    (("matrix", "--case", "prop3c-upper", "--samples", "-3"), "--samples"),
+    (("matrix", "--case", "prop3c-upper", "--field", "F2", "--degree", "-1",
+      "--samples", "3"), "--degree"),
+    (("matrix", "--case", "cor-laurent", "--field", "F2", "--degree", "-1"), "--degree"),
+    (("matrix", "--case", "cor-field", "--field", "F2", "--depth", "0"), "--depth"),
+    (("matrix", "--case", "cor-laurent", "--field", "F2", "--depth", "0"), "--depth"),
+    (("matrix", "--case", "prop3d", "--steps", "two"), "--steps"),
+    (("verify", "--mode", "truncated", "--weight", "4", "--depth", "-1"), "--depth"),
+    (("verify", "--mode", "truncated", "--weight", "4", "--depth", "0"), "--depth"),
+    (("corpus", "--depth", "0"), "--depth"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_vacuous_numeric_flag_exits_2(tmp_path, capsys, argv, flag):
+    path = write_graph(tmp_path, "e3.json", e3_graph())
+    where = {"verify": ("--graph", path, "--field", "F3"), "corpus": ("--dir", str(tmp_path)),
+             "matrix": ()}[argv[0]]
+    code, out, err = run(capsys, *argv, *where)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}:" in err
+
+
+def test_smallest_numeric_flags_accepted(capsys):
+    code, out, _ = run(capsys, "matrix", "--case", "prop3d", "--steps", "1")
+    assert code == 0 and json.loads(out)["steps_checked"] == 1
+    code, out, _ = run(capsys, "matrix", "--case", "prop3c-upper", "--field", "F2",
+                       "--samples", "1", "--degree", "0")
+    assert code == 0 and json.loads(out)["steps_checked"] == 1
+    code, out, _ = run(capsys, "matrix", "--case", "cor-field", "--field", "Q",
+                       "--depth", "1")
+    assert code == 0 and json.loads(out)["params"]["depth"] == 1
+
+
 def test_usage_error(capsys):
     code = main(["classify", "--char", "2"])
     capsys.readouterr()

@@ -24,8 +24,18 @@ from lpalab.matrices import (
     first_bracket_closed_form,
     mat,
     mat_bracket,
+    mat_is_zero,
     mat_mul,
+    mat_sub,
     zero_mat,
+)
+from helpers import (
+    assert_canonical_laurent,
+    random_field_elem,
+    random_laurent,
+    ref_laurent_add,
+    ref_laurent_mul,
+    ref_laurent_sub,
 )
 
 Q = field_from_spec("Q")
@@ -226,3 +236,64 @@ def test_determinism_same_seed():
     a = char2_laurent_index3_check(25, 2, 7)
     b = char2_laurent_index3_check(25, 2, 7)
     assert a.to_json_obj() == b.to_json_obj()
+
+
+def _reference_entry_ops(ring):
+    """(zero, add, sub, mul) on entries: the field's own methods, or the
+    schoolbook Laurent loops."""
+    if isinstance(ring, LaurentRing):
+        fld = ring.field
+        return ({}, lambda a, b: ref_laurent_add(fld, a, b),
+                lambda a, b: ref_laurent_sub(fld, a, b),
+                lambda a, b: ref_laurent_mul(fld, a, b))
+    return ring.zero, ring.add, ring.sub, ring.mul
+
+
+def _reference_mul(ctx, A, B):
+    zero, add, _, mul = _reference_entry_ops(ctx.ring)
+    out = [[zero] * ctx.n for _ in range(ctx.n)]
+    for i in range(ctx.n):
+        for j in range(ctx.n):
+            for k in range(ctx.n):
+                out[i][j] = add(out[i][j], mul(A[i][k], B[k][j]))
+    return out
+
+
+def _reference_sub(ctx, A, B):
+    _, _, sub, _ = _reference_entry_ops(ctx.ring)
+    return [[sub(A[i][j], B[i][j]) for j in range(ctx.n)] for i in range(ctx.n)]
+
+
+def _random_entry_mat(ctx, rng):
+    ring = ctx.ring
+    if isinstance(ring, LaurentRing):
+        def entry():
+            return random_laurent(ring.field, rng, rng.randint(0, 5), -3, 3)
+    else:
+        def entry():
+            return random_field_elem(ring, rng)
+    return mat(ctx, [[entry() for _ in range(ctx.n)] for _ in range(ctx.n)])
+
+
+def test_mat_arithmetic_matches_entrywise_reference():
+    rng = random.Random(17)
+    F5 = field_from_spec("F5")
+    rings = [Q, F2, F3, F5, LaurentRing(Q), LaurentRing(F2), LaurentRing(F3)]
+    for ring in rings:
+        for n in (2, 3):
+            ctx = MatrixRingCtx(n, ring)
+            for _ in range(25):
+                A = _random_entry_mat(ctx, rng)
+                B = _random_entry_mat(ctx, rng)
+                AB = mat_mul(ctx, A, B)
+                assert [list(r) for r in AB] == _reference_mul(ctx, A, B)
+                assert [list(r) for r in mat_sub(ctx, A, B)] == _reference_sub(ctx, A, B)
+                ref_bracket = _reference_sub(ctx, _reference_mul(ctx, A, B),
+                                             _reference_mul(ctx, B, A))
+                bracket = mat_bracket(ctx, A, B)
+                assert [list(r) for r in bracket] == ref_bracket
+                assert mat_is_zero(ctx, mat_sub(ctx, A, A))
+                if isinstance(ring, LaurentRing):
+                    for row in bracket:
+                        for entry in row:
+                            assert_canonical_laurent(ring.field, entry)
