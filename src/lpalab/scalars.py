@@ -278,10 +278,10 @@ class LaurentRing:
         fld = self.field
         fi, f_den = fld.integer_coeffs(f)
         gi, g_den = fld.integer_coeffs(g)
-        gi = gi.items()
+        g_terms = gi.items()
         acc: dict = {}
         for e1, c1 in fi.items():
-            for e2, c2 in gi:
+            for e2, c2 in g_terms:
                 e = e1 + e2
                 if e in acc:
                     acc[e] += c1 * c2
