@@ -193,7 +193,7 @@ def test_laurent_ops_cancel_to_zero():
         ring = LaurentRing(fld)
         one, x, x_inv = ring.one, ring.x(), ring.x_inv()
         f = ring.add(x, one)
-        # (x + 1)(x - 1) = x^2 - 1: the x terms cancel (both vanish in F2)
+        # (x + 1)(x - 1) = x^2 - 1: the x terms cancel (in F2 it is (x + 1)^2)
         g = ring.sub(x, one)
         _check_against_reference(ring, f, g)
         assert 1 not in ring.mul(f, g)
@@ -205,7 +205,7 @@ def test_laurent_ops_cancel_to_zero():
             h = random_laurent(fld, rng, rng.randint(1, 8))
             assert ring.sub(h, h) == {} == ref_laurent_sub(fld, h, h)
             assert ring.add(h, ring.neg(h)) == {}
-            # (h + 1 - 1) * h: an operand that cancelled back to h
+            # an operand whose added constant cancelled again, against -h
             back = ring.sub(ring.add(h, one), one)
             assert back == h
             _check_against_reference(ring, back, ring.neg(h))
