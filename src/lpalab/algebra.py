@@ -25,10 +25,6 @@ class AlgebraError(ValueError):
     """Context mismatch or malformed path pair."""
 
 
-def mono_weight(m: Mono) -> int:
-    return len(m[0]) + len(m[1])
-
-
 def mono_star(m: Mono) -> Mono:
     return (m[1], m[0], m[2])
 
@@ -503,3 +499,28 @@ def forbidden_embedding_units(algebra: LeavittAlgebra, witness) -> dict:
                 units[(i, j)] = algebra.path_pair(cyc * i + [f], cyc * j + [f])
         return units
     raise AlgebraError(f"no embedding for witness kind {kind!r}")
+
+
+# ----------------------------------------------------------------------
+# closed-form matrices carried into the algebra
+
+
+def unit_embedding(algebra: LeavittAlgebra, units: dict):
+    """M -> sum of M_ij u_ij, for sparse matrices {(i, j): scalar} and a
+    matrix-unit family such as ``forbidden_embedding_units`` builds."""
+    mul = algebra.field.mul
+    return lambda M: algebra.element(
+        (m, mul(c, v)) for ij, c in M.items() for m, v in units[ij].terms.items())
+
+
+def corner_embedding(algebra: LeavittAlgebra, entry_edge: str, cycle_edges):
+    """The corner M_2(K[x, x^-1]) of a cycle y without exit, based at w, with
+    an edge p into w: E11 = pp*, E12 = p, E21 = p*, E22 = w and x = y.  The
+    entry x^k at (i, j) goes to ((p if i = 1) y^max(k, 0), (p if j = 1) y^max(-k, 0))."""
+    ep = algebra.graph.edge_pos
+    p = (ep[entry_edge],)
+    y = tuple(ep[e] for e in cycle_edges)
+    w = algebra._dst[p[0]]
+    return lambda M: algebra.element(
+        (((p if i == 1 else ()) + y * max(k, 0), (p if j == 1 else ()) + y * max(-k, 0), w), c)
+        for (i, j), poly in M.items() for k, c in poly.items())

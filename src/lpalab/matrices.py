@@ -1,6 +1,7 @@
 """Matrix rings over an exact field or a Laurent ring, carrying the
 transpose-with-entry-involution, their skew-symmetric parts, and the witness
-recursions that decide Lie solvability degree by degree.
+recursions that decide Lie solvability degree by degree, also run inside
+path algebras as the non-solvability certificates.
 
 Matrices are tuples of tuples of ring values, manipulated through the ring
 object so the same code serves field entries and Laurent entries.
@@ -11,8 +12,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
+from .algebra import LeavittAlgebra, corner_embedding, forbidden_embedding_units, unit_embedding
+from .graphs import Graph
 from .scalars import LaurentRing
-from .series import Subspace, derived_series, lower_central_series
+from .series import SeriesError, Subspace, derived_series, lower_central_series
 
 
 class MatrixLabError(ValueError):
@@ -45,11 +48,11 @@ def zero_mat(ctx: MatrixRingCtx) -> tuple:
     return tuple(tuple(z for _ in range(ctx.n)) for _ in range(ctx.n))
 
 
-def unit(ctx: MatrixRingCtx, i: int, j: int, value=None) -> tuple:
-    """E_ij, 1-indexed, with an optional ring value instead of one."""
-    v = ctx.ring.one if value is None else value
+def unit(ctx: MatrixRingCtx, i: int, j: int) -> tuple:
+    """E_ij, 1-indexed."""
+    one, zero = ctx.ring.one, ctx.ring.zero
     return tuple(
-        tuple(v if (r, c) == (i - 1, j - 1) else ctx.ring.zero for c in range(ctx.n))
+        tuple(one if (r, c) == (i - 1, j - 1) else zero for c in range(ctx.n))
         for r in range(ctx.n)
     )
 
@@ -100,10 +103,6 @@ def mat_is_zero(ctx, A) -> bool:
 
 def is_skew(ctx, A) -> bool:
     return mat_involution(ctx, A) == mat_neg(ctx, A)
-
-
-def mat_to_str(ctx, A) -> str:
-    return "[" + ", ".join("[" + ", ".join(ctx.ring.to_str(x) for x in row) + "]" for row in A) + "]"
 
 
 def skew_matrix_basis(ctx: MatrixRingCtx, degree_bound: int = 0) -> list:
@@ -174,17 +173,101 @@ class MatrixReport:
 
 
 # ----------------------------------------------------------------------
-# witness recursions
+# the A/B/X witness recursion and its certificates in path algebras
+
+
+def _skew(ring, entries: dict) -> dict:
+    """x at (i, j) and -x at (j, i) for each entry."""
+    out = {}
+    for (i, j), x in entries.items():
+        out[(i, j)], out[(j, i)] = x, ring.neg(x)
+    return out
+
+
+def field_closed_forms(ring, a, b, c):
+    """(A_m, B_m, X_m), m = 1, 2, ..., of the degree-3 field recursion:
+    A = a(E12 - E21) + b(E13 - E31), B = c(E23 - E32),
+    X = -bc(E12 - E21) + ac(E13 - E31), then (a, b, c) -> (-ac^2, -bc^2, (a^2 + b^2)c).
+    """
+    neg, mul, add = ring.neg, ring.mul, ring.add
+    while True:
+        yield (_skew(ring, {(1, 2): a, (1, 3): b}), _skew(ring, {(2, 3): c}),
+               _skew(ring, {(1, 2): neg(mul(b, c)), (1, 3): mul(a, c)}))
+        cc = mul(c, c)
+        a, b, c = neg(mul(a, cc)), neg(mul(b, cc)), mul(add(mul(a, a), mul(b, b)), c)
+
+
+def laurent_closed_forms(ring, u):
+    """(A_m, B_m, X_m), m = 1, 2, ..., of the degree-2 Laurent recursion:
+    A = v(E12 + E21), B = (-1)^(m+1) v(E11 - E22), X = (-1)^m 2v^2(E12 - E21),
+    from v = u, then v -> 4v^3."""
+    neg, mul, from_int = ring.neg, ring.mul, ring.from_int
+    v, sign = u, 1
+    while True:
+        s = v if sign == 1 else neg(v)
+        yield ({(1, 2): v, (2, 1): v}, {(1, 1): s, (2, 2): neg(s)},
+               _skew(ring, {(1, 2): mul(from_int(-2 * sign), mul(v, v))}))
+        v, sign = mul(from_int(4), mul(v, mul(v, v))), -sign
+
+
+def bracket_recursion(bracket, embed, forms, steps: int):
+    """Run X = [A, B], A' = [X, B], B' = [X, A] for ``steps`` steps.
+
+    ``forms`` yields the closed forms (A_m, B_m, X_m) as sparse matrices
+    {(i, j): entry}, 1-indexed; ``embed`` carries one into the ring of
+    ``bracket`` (the matrix ring itself, or a path algebra through
+    algebra.unit_embedding or algebra.corner_embedding).  The run starts from
+    the embedded A_1, B_1 and compares every computed X_m, A_m, B_m with its
+    embedded closed form.  Returns the computed [(A_m, B_m, X_m)] and one
+    failure line per mismatch or vanished X."""
+    forms = iter(forms)
+    A_c, B_c, X_c = next(forms)
+    A, B, zero = embed(A_c), embed(B_c), embed({})
+    chain, failures = [], []
+    for m in range(1, steps + 1):
+        X = bracket(A, B)
+        if X != embed(X_c):
+            failures.append(f"step {m}: X differs from closed form")
+        if X == zero:
+            failures.append(f"step {m}: X vanished")
+        chain.append((A, B, X))
+        if m == steps:
+            break
+        A, B = bracket(X, B), bracket(X, A)
+        A_c, B_c, X_c = next(forms)
+        if A != embed(A_c):
+            failures.append(f"step {m + 1}: A differs from closed form")
+        if B != embed(B_c):
+            failures.append(f"step {m + 1}: B differs from closed form")
+    return chain, failures
+
+
+def _matrix_recursion(ctx: MatrixRingCtx, rep: MatrixReport, forms, steps: int) -> list:
+    """bracket_recursion in the matrix ring, with its failures and the
+    skewness of every A, B, X recorded in ``rep``."""
+    z, idx = ctx.ring.zero, range(1, ctx.n + 1)
+
+    def dense(M):
+        return tuple(tuple(M.get((i, j), z) for j in idx) for i in idx)
+
+    # Looked up per call: a wrapper put on the module attribute sees every bracket.
+    chain, failures = bracket_recursion(lambda P, Q: mat_bracket(ctx, P, Q), dense, forms, steps)
+    rep.failures.extend(failures)
+    for m, step in enumerate(chain, 1):
+        for name, M in zip("ABX", step):
+            if not is_skew(ctx, M):
+                rep.failures.append(f"step {m}: {name} not skew")
+    rep.steps_checked = steps
+    return chain
 
 
 def witness_nge3(ctx: MatrixRingCtx, a, b, c, steps: int) -> MatrixReport:
     """Non-solvability witnesses in degree >= 3 over a field.
 
     Starting from A = a(E12-E21) + b(E13-E31), B = c(E23-E32), the recursion
-    A' = [X, B], B' = [X, A], X' = [A', B'] keeps the closed coefficient form
-    (a, b, c) -> (-a c^2, -b c^2, (a^2 + b^2) c), and X stays nonzero because
-    a^2 + b^2 and c are preserved nonzero.  Each step is verified by direct
-    bracket evaluation against the closed forms.
+    keeps the closed coefficient form of ``field_closed_forms``, and X stays
+    nonzero because a^2 + b^2 and c are preserved nonzero.  Each step is
+    verified by direct bracket evaluation against the closed forms.
     """
     ring = ctx.ring
     if isinstance(ring, LaurentRing):
@@ -197,38 +280,7 @@ def witness_nge3(ctx: MatrixRingCtx, a, b, c, steps: int) -> MatrixReport:
         raise MatrixLabError("precondition violated: a^2 + b^2 = 0")
     rep = MatrixReport("prop3a", {"a": ring.to_str(a), "b": ring.to_str(b),
                                   "c": ring.to_str(c), "n": ctx.n, "steps": steps})
-
-    def skew_pair(i, j, coeff):
-        return mat_sub(ctx, unit(ctx, i, j, coeff), unit(ctx, j, i, coeff))
-
-    am, bm, cm = a, b, c
-    A = mat_add(ctx, skew_pair(1, 2, am), skew_pair(1, 3, bm))
-    B = skew_pair(2, 3, cm)
-    for m in range(1, steps + 1):
-        X = mat_bracket(ctx, A, B)
-        xa = ring.neg(ring.mul(bm, cm))
-        xb = ring.mul(am, cm)
-        closed_X = mat_add(ctx, skew_pair(1, 2, xa), skew_pair(1, 3, xb))
-        if X != closed_X:
-            rep.failures.append(f"step {m}: X differs from closed form")
-        if mat_is_zero(ctx, X):
-            rep.failures.append(f"step {m}: X vanished")
-        for name, M in (("A", A), ("B", B), ("X", X)):
-            if not is_skew(ctx, M):
-                rep.failures.append(f"step {m}: {name} not skew")
-        if m == steps:
-            break
-        A2 = mat_bracket(ctx, X, B)
-        B2 = mat_bracket(ctx, X, A)
-        a2 = ring.neg(ring.mul(am, ring.mul(cm, cm)))
-        b2 = ring.neg(ring.mul(bm, ring.mul(cm, cm)))
-        c2 = ring.mul(ring.add(ring.mul(am, am), ring.mul(bm, bm)), cm)
-        if A2 != mat_add(ctx, skew_pair(1, 2, a2), skew_pair(1, 3, b2)):
-            rep.failures.append(f"step {m + 1}: A differs from closed form")
-        if B2 != skew_pair(2, 3, c2):
-            rep.failures.append(f"step {m + 1}: B differs from closed form")
-        A, B, am, bm, cm = A2, B2, a2, b2, c2
-    rep.steps_checked = steps
+    _matrix_recursion(ctx, rep, field_closed_forms(ring, a, b, c), steps)
     return rep
 
 
@@ -260,8 +312,8 @@ def witness_laurent_nonsolvable(ring: LaurentRing, u: dict, steps: int) -> Matri
     """Degree-2 non-solvability over a Laurent ring, characteristic != 2.
 
     From A = [[0, u], [u, 0]] and B = [[u, 0], [0, -u]] with u skew, the
-    recursion produces X_m = [[0, (-1)^m 2 v^2], [(-1)^(m+1) 2 v^2, 0]] and
-    v' = 4 v^3, all verified by direct brackets; coefficients grow triply
+    recursion follows ``laurent_closed_forms``: X_m = (-1)^m 2v^2(E12 - E21)
+    and v' = 4 v^3, all verified by direct brackets; coefficients grow triply
     exponentially, which is why the scalars are arbitrary precision.
     """
     if ring.characteristic == 2:
@@ -272,48 +324,51 @@ def witness_laurent_nonsolvable(ring: LaurentRing, u: dict, steps: int) -> Matri
         raise MatrixLabError("precondition violated: u is not skew")
     ctx = MatrixRingCtx(2, ring)
     rep = MatrixReport("prop3d", {"u": ring.to_str(u), "steps": steps})
-    two = ring.from_int(2)
-    four = ring.from_int(4)
-
-    def closed_A(v):
-        return mat(ctx, [[ring.zero, v], [v, ring.zero]])
-
-    def closed_B(v, m):
-        s1 = v if (m + 1) % 2 == 0 else ring.neg(v)
-        s2 = v if m % 2 == 0 else ring.neg(v)
-        return mat(ctx, [[s1, ring.zero], [ring.zero, s2]])
-
-    def closed_X(v, m):
-        t = ring.mul(two, ring.mul(v, v))
-        top = t if m % 2 == 0 else ring.neg(t)
-        return mat(ctx, [[ring.zero, top], [ring.neg(top), ring.zero]])
-
-    v = u
-    A = closed_A(v)
-    B = closed_B(v, 1)
-    for m in range(1, steps + 1):
-        X = mat_bracket(ctx, A, B)
-        if X != closed_X(v, m):
-            rep.failures.append(f"step {m}: X differs from closed form")
-        if mat_is_zero(ctx, X):
-            rep.failures.append(f"step {m}: X vanished")
-        for name, M in (("A", A), ("B", B), ("X", X)):
-            if not is_skew(ctx, M):
-                rep.failures.append(f"step {m}: {name} not skew")
-        if m == steps:
-            break
-        A2 = mat_bracket(ctx, X, B)
-        B2 = mat_bracket(ctx, X, A)
-        v2 = ring.mul(four, ring.mul(v, ring.mul(v, v)))
-        if ring.involute(v2) != ring.neg(v2) or ring.is_zero(v2):
-            rep.failures.append(f"step {m + 1}: v' = 4v^3 is not a nonzero skew scalar")
-        if A2 != closed_A(v2):
-            rep.failures.append(f"step {m + 1}: A differs from closed form")
-        if B2 != closed_B(v2, m + 1):
-            rep.failures.append(f"step {m + 1}: B differs from closed form")
-        A, B, v = A2, B2, v2
-    rep.steps_checked = steps
+    chain = _matrix_recursion(ctx, rep, laurent_closed_forms(ring, u), steps)
+    for m, (A, _, _) in enumerate(chain[1:], 2):
+        v = A[0][1]
+        if ring.involute(v) != ring.neg(v) or ring.is_zero(v):
+            rep.failures.append(f"step {m}: v' = 4v^3 is not a nonzero skew scalar")
     return rep
+
+
+def _certified_chain(algebra: LeavittAlgebra, embed, forms, depth: int) -> list:
+    chain, failures = bracket_recursion(algebra.bracket, embed, forms, depth)
+    if failures:
+        raise SeriesError(f"certificate chain broke at {failures[0]}")
+    return [X for _, _, X in chain]
+
+
+def nonsolvability_certificate(graph: Graph, fld, witness, depth: int = 3) -> list:
+    """Explicit nonzero members of every derived step of the skew part: the
+    field recursion from a = c = 1, b = 0 (a^2 + b^2 = 1 in every field) run
+    on the witness's 3x3 matrix units, so A = u12 - u21, B = u23 - u32.
+    Returns [X_1..X_depth], each checked against its embedded closed form;
+    raises SeriesError on any mismatch."""
+    algebra = LeavittAlgebra(graph, fld)
+    embed = unit_embedding(algebra, forbidden_embedding_units(algebra, witness))
+    f = algebra.field
+    return _certified_chain(algebra, embed, field_closed_forms(f, f.one, f.zero, f.one), depth)
+
+
+def laurent_corner_certificate(graph: Graph, fld, entry_edge: str, cycle_edges,
+                               depth: int = 3) -> list:
+    """Nonzero derived-step members for a cycle-without-exit component when
+    the characteristic is not 2: the Laurent recursion from u = y - y*, so
+    A = p u + u p*, B = p u p* - u, run in the corner of the cycle y and the
+    entry edge p (``corner_embedding``), where v' = 4 v^3 never vanishes.
+    Returns [X_1..X_depth], each checked against its embedded closed form;
+    raises SeriesError on any mismatch."""
+    if fld.characteristic == 2:
+        raise SeriesError("the degree-2 corner recursion needs characteristic != 2")
+    algebra = LeavittAlgebra(graph, fld)
+    g = algebra.graph
+    if g.edges[g.edge_pos[entry_edge]].dst != g.edges[g.edge_pos[cycle_edges[0]]].src:
+        raise SeriesError("entry edge must end where the cycle starts")
+    ring = LaurentRing(algebra.field)
+    forms = laurent_closed_forms(ring, ring.sub(ring.x(), ring.x_inv()))
+    return _certified_chain(algebra, corner_embedding(algebra, entry_edge, cycle_edges),
+                            forms, depth)
 
 
 # ----------------------------------------------------------------------
@@ -464,15 +519,15 @@ def mat_to_vec(ctx: MatrixRingCtx, A) -> dict:
 
 
 def vec_to_mat(ctx: MatrixRingCtx, vec: dict):
-    rows = [[ctx.ring.zero for _ in range(ctx.n)] for _ in range(ctx.n)]
     if ctx.involution_kind == "transpose":
+        rows = [[ctx.ring.zero] * ctx.n for _ in range(ctx.n)]
         for (i, j), c in vec.items():
             rows[i][j] = c
     else:
+        # A fresh dict per cell, filled in place; ring.zero is one shared dict.
+        rows = [[{} for _ in range(ctx.n)] for _ in range(ctx.n)]
         for (i, j, e), c in vec.items():
-            cell = dict(rows[i][j])
-            cell[e] = c
-            rows[i][j] = cell
+            rows[i][j][e] = c
     return mat(ctx, rows)
 
 

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import LeavittAlgebra, Element, forbidden_embedding_units, mono_order_key
+from .algebra import LeavittAlgebra, Element, mono_order_key
 from .graphs import Graph, is_acyclic
 
 
@@ -326,84 +326,3 @@ def solvability_probe(graph: Graph, fld, structure: str = "lie", mode: str = "ex
         format_row=fmt,
         weight=used_weight,
     )
-
-
-def nonsolvability_certificate(graph: Graph, fld, witness, depth: int = 3) -> list:
-    """Explicit nonzero members of every derived step of the skew part.
-
-    A forbidden-structure witness embeds a 3x3 matrix-unit family u_ij in the
-    algebra.  Starting from the skew elements A = u12 - u21 and B = u23 - u32,
-    the recursion A' = [X, B], B' = [X, A], X' = [A', B'] keeps X_m inside the
-    m-th derived step, and the closed coefficient form (with a = c = 1, b = 0,
-    so a^2 + b^2 = 1 in every field) keeps it nonzero.  Returns [X_1..X_depth]
-    and verifies each against its closed form; raises SeriesError on any
-    mismatch, so a returned chain is a checked certificate.
-    """
-    algebra = LeavittAlgebra(graph, fld)
-    units = forbidden_embedding_units(algebra, witness)
-
-    def skew_diff(i, j):
-        return algebra.sub(units[(i, j)], units[(j, i)])
-
-    f = algebra.field
-    am, bm, cm = f.one, f.zero, f.one
-    A = skew_diff(1, 2)
-    B = skew_diff(2, 3)
-    chain = []
-    for m in range(1, depth + 1):
-        X = algebra.bracket(A, B)
-        closed = algebra.sub(
-            algebra.scale(f.neg(f.mul(bm, cm)), skew_diff(1, 2)),
-            algebra.scale(f.neg(f.mul(am, cm)), skew_diff(1, 3)),
-        )
-        if X != closed or X.is_zero():
-            raise SeriesError(f"certificate chain broke at step {m}")
-        chain.append(X)
-        if m == depth:
-            break
-        A, B = algebra.bracket(X, B), algebra.bracket(X, A)
-        am, bm, cm = (
-            f.neg(f.mul(am, f.mul(cm, cm))),
-            f.neg(f.mul(bm, f.mul(cm, cm))),
-            f.mul(f.add(f.mul(am, am), f.mul(bm, bm)), cm),
-        )
-    return chain
-
-
-def laurent_corner_certificate(graph: Graph, fld, entry_edge: str, cycle_edges,
-                               depth: int = 3) -> list:
-    """Nonzero derived-step members for a cycle-without-exit component when
-    the characteristic is not 2.
-
-    A cycle y based at w together with an edge p into w from outside spans a
-    degree-2 matrix corner whose entries are Laurent polynomials in y.  With
-    the skew scalar u = y - y*, the elements A = p u + u p* and
-    B = p u p* - u satisfy the recursion A' = [X, B], B' = [X, A],
-    X = [A, B], whose corner coefficient obeys v' = 4 v^3 and never vanishes
-    away from characteristic 2.  Returns the checked chain [X_1..X_depth].
-    """
-    if fld.characteristic == 2:
-        raise SeriesError("the degree-2 corner recursion needs characteristic != 2")
-    algebra = LeavittAlgebra(graph, fld)
-    ep = algebra.graph.edge_pos
-    p = [entry_edge]
-    y = list(cycle_edges)
-    if algebra.graph.edges[ep[entry_edge]].dst != algebra.graph.edges[ep[y[0]]].src:
-        raise SeriesError("entry edge must end where the cycle starts")
-    u = algebra.sub(algebra.path_pair(y, []), algebra.path_pair([], y))
-    uE12 = algebra.sub(algebra.path_pair(p + y, []), algebra.path_pair(p, y))
-    uE11 = algebra.sub(algebra.path_pair(p + y, p), algebra.path_pair(p, p + y))
-    # A = u E12 + u E21 and B = u E11 - u E22 in the corner coordinates;
-    # the star of u E12 is -(u E21), so both are skew.
-    A = algebra.sub(uE12, algebra.involute(uE12))
-    B = algebra.sub(uE11, u)
-    chain = []
-    for m in range(1, depth + 1):
-        X = algebra.bracket(A, B)
-        if X.is_zero():
-            raise SeriesError(f"corner certificate chain vanished at step {m}")
-        chain.append(X)
-        if m == depth:
-            break
-        A, B = algebra.bracket(X, B), algebra.bracket(X, A)
-    return chain

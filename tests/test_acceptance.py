@@ -22,7 +22,7 @@ from lpalab import (
     witness_nge3,
     witness_nilpotent_char2,
 )
-from lpalab.series import laurent_corner_certificate, nonsolvability_certificate
+from lpalab.matrices import laurent_corner_certificate, nonsolvability_certificate
 from helpers import (
     build_corpus_graph,
     corpus_graphs,

@@ -1,4 +1,5 @@
-"""Matrix involution, skew bases, and the witness recursions."""
+"""Matrix involution, skew bases, the witness recursions, and the
+certificates the same recursion gives inside path algebras."""
 
 import random
 from fractions import Fraction
@@ -7,21 +8,31 @@ import pytest
 
 from lpalab import (
     LaurentRing,
+    LeavittAlgebra,
     MatrixLabError,
     MatrixRingCtx,
     char2_laurent_index3_check,
     corollary_field_check,
     corollary_laurent_check,
     field_from_spec,
+    find_cycle_with_exit,
+    find_forbidden_subgraph,
+    forbidden_embedding_units,
     mat_involution,
     skew_matrix_basis,
+    verify_matrix_units,
     witness_laurent_nonsolvable,
     witness_nge3,
     witness_nilpotent_char2,
 )
+from lpalab import matrices
 from lpalab.matrices import (
     diagonal_closed_form,
+    field_closed_forms,
     first_bracket_closed_form,
+    laurent_closed_forms,
+    laurent_corner_certificate,
+    nonsolvability_certificate,
     mat,
     mat_bracket,
     mat_is_zero,
@@ -29,13 +40,22 @@ from lpalab.matrices import (
     mat_sub,
     zero_mat,
 )
+from lpalab.series import SeriesError
 from helpers import (
     assert_canonical_laurent,
+    build_corpus_graph,
+    corpus_graphs,
+    e3_graph,
+    e5_graph,
+    f1_path_graph,
+    f2_graph,
+    f3_graph,
     random_field_elem,
     random_laurent,
     ref_laurent_add,
     ref_laurent_mul,
     ref_laurent_sub,
+    rose_graph,
 )
 
 Q = field_from_spec("Q")
@@ -297,3 +317,125 @@ def test_mat_arithmetic_matches_entrywise_reference():
                     for row in bracket:
                         for entry in row:
                             assert_canonical_laurent(ring.field, entry)
+
+
+# ----------------------------------------------------------------------
+# certificates against oracles built here, and the driver's own checks
+
+
+def _witness_graphs(seed):
+    """The shape graphs of each witness kind, plus seeded picks of small
+    corpus graphs whose first witness has that kind."""
+    rng = random.Random(seed)
+    by_kind = {"CycleWithExit": [rose_graph(2)], "F1": [f1_path_graph()],
+               "F2": [f2_graph()], "F3": [f3_graph()]}
+    corpus = {}
+    for nv, edges in corpus_graphs(3, 4):
+        g = build_corpus_graph(nv, edges)
+        w = find_cycle_with_exit(g) or find_forbidden_subgraph(g)
+        if w is not None:
+            corpus.setdefault(w.kind, []).append(g)
+    for kind, graphs in by_kind.items():
+        graphs.extend(rng.sample(corpus[kind], min(2, len(corpus[kind]))))
+    return by_kind
+
+
+def test_nonsolvability_certificate_matches_abc_recursion():
+    # Oracle: X_m = -b c (u12 - u21) + a c (u13 - u31), with (a, b, c) run
+    # from (1, 0, 1) through (a, b, c) -> (-a c^2, -b c^2, (a^2 + b^2) c).
+    depth = 4
+    for kind, graphs in _witness_graphs(2024).items():
+        for g in graphs:
+            w = find_cycle_with_exit(g) or find_forbidden_subgraph(g)
+            assert w.kind == kind
+            for fld in (Q, F2, F3):
+                alg = LeavittAlgebra(g, fld)
+                u = forbidden_embedding_units(alg, w)
+                d12 = alg.sub(u[(1, 2)], u[(2, 1)])
+                d13 = alg.sub(u[(1, 3)], u[(3, 1)])
+                a, b, c = fld.one, fld.zero, fld.one
+                expected = []
+                for _ in range(depth):
+                    expected.append(alg.add(alg.scale(fld.neg(fld.mul(b, c)), d12),
+                                            alg.scale(fld.mul(a, c), d13)))
+                    a, b, c = (fld.neg(fld.mul(a, fld.mul(c, c))),
+                               fld.neg(fld.mul(b, fld.mul(c, c))),
+                               fld.mul(fld.add(fld.mul(a, a), fld.mul(b, b)), c))
+                assert nonsolvability_certificate(g, fld, w, depth) == expected, (kind, fld)
+
+
+def test_laurent_corner_certificate_matches_corner_image():
+    # Oracle inside the algebra: with u = y - y* and v' = 4 v^3 computed by
+    # algebra products, X_m is the corner image p t - t p* of
+    # t (E12 - E21), t = (-1)^m 2 v^2.
+    F5 = field_from_spec("F5")
+    depth = 3
+    for g, p, cycle, w in ((e3_graph(), "e", ["f", "e"], "w"),
+                           (e5_graph(1), "f1", ["c1"], "w1")):
+        for fld in (Q, F3, F5):
+            alg = LeavittAlgebra(g, fld)
+            units = {(1, 1): alg.path_pair([p], [p]), (1, 2): alg.edge(p),
+                     (2, 1): alg.ghost(p), (2, 2): alg.vertex(w)}
+            assert verify_matrix_units(alg, units) == []
+            v = alg.sub(alg.path_pair(cycle, []), alg.path_pair([], cycle))
+            two, four = fld.from_int(2), fld.from_int(4)
+            chain = laurent_corner_certificate(g, fld, p, cycle, depth)
+            assert len(chain) == depth
+            for m, X in enumerate(chain, 1):
+                t = alg.scale(two if m % 2 == 0 else fld.neg(two), alg.multiply(v, v))
+                image = alg.sub(alg.multiply(units[(1, 2)], t), alg.multiply(t, units[(2, 1)]))
+                assert X == image, (g, fld, m)
+                v = alg.scale(four, alg.multiply(v, alg.multiply(v, v)))
+
+
+def _one_step_off(forms_of, start, closed):
+    """Closed forms that start from ``start`` but follow ``closed``: the
+    first triple pairs A_1, B_1 of the one with X_1 of the other."""
+    good, bad = forms_of(*start), forms_of(*closed)
+    A, B, _ = next(good)
+    _, _, X = next(bad)
+    yield A, B, X
+    yield from bad
+
+
+@pytest.mark.parametrize("fld", [Q, F3])
+def test_driver_detects_wrong_field_closed_form(monkeypatch, fld):
+    def off(ring, a, b, c):
+        return _one_step_off(lambda *abc: field_closed_forms(ring, *abc),
+                             (a, b, c), (a, b, fld.from_int(2)))
+
+    monkeypatch.setattr(matrices, "field_closed_forms", off)
+    rep = witness_nge3(MatrixRingCtx(3, fld), fld.one, fld.zero, fld.one, 3)
+    assert rep.failures[0] == "step 1: X differs from closed form"
+    # c runs 1, 1, ... from the start but 2, 4, ... in the closed forms; a
+    # follows -a c^2, which agrees over F3 (4 = 1) but not over Q.
+    assert "step 2: B differs from closed form" in rep.failures
+    assert ("step 2: A differs from closed form" in rep.failures) == (fld is Q)
+    g = f1_path_graph()
+    with pytest.raises(SeriesError, match="step 1: X differs from closed form"):
+        nonsolvability_certificate(g, fld, find_forbidden_subgraph(g), 3)
+
+
+def test_driver_reports_vanished_x(monkeypatch):
+    # From (a, b, 0) both B and the closed X are zero, so the closed forms
+    # agree and only the vanishing check can fire.
+    monkeypatch.setattr(matrices, "field_closed_forms",
+                        lambda ring, a, b, c: field_closed_forms(ring, a, b, ring.zero))
+    rep = witness_nge3(MatrixRingCtx(3, Q), Q.one, Q.zero, Q.one, 2)
+    assert rep.failures == ["step 1: X vanished", "step 2: X vanished"]
+    g = f1_path_graph()
+    with pytest.raises(SeriesError, match="step 1: X vanished"):
+        nonsolvability_certificate(g, Q, find_forbidden_subgraph(g), 2)
+
+
+def test_driver_detects_wrong_laurent_closed_form(monkeypatch):
+    def off(ring, u):
+        return _one_step_off(lambda v: laurent_closed_forms(ring, v),
+                             (u,), (ring.add(u, u),))
+
+    monkeypatch.setattr(matrices, "laurent_closed_forms", off)
+    ring = LaurentRing(Q)
+    rep = witness_laurent_nonsolvable(ring, ring.sub(ring.x(), ring.x_inv()), 3)
+    assert rep.failures[0] == "step 1: X differs from closed form"
+    with pytest.raises(SeriesError, match="step 1: X differs from closed form"):
+        laurent_corner_certificate(e3_graph(), Q, "e", ["f", "e"], 3)

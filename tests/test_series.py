@@ -24,7 +24,7 @@ from lpalab import (
     validate_graph,
 )
 from lpalab.algebra import mono_order_key
-from lpalab.series import laurent_corner_certificate, nonsolvability_certificate
+from lpalab.matrices import laurent_corner_certificate, nonsolvability_certificate
 from helpers import (
     e1_graph,
     e2_graph,
