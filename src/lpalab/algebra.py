@@ -293,10 +293,25 @@ class LeavittAlgebra:
         return Element(self, {mono_star(m): c for m, c in a.terms.items()})
 
     def bracket(self, a: Element, b: Element) -> Element:
-        return self.sub(self.multiply(a, b), self.multiply(b, a))
+        return self._merge(self.multiply(a, b), self.multiply(b, a), self.field.sub)
 
     def circle(self, a: Element, b: Element) -> Element:
-        return self.add(self.multiply(a, b), self.multiply(b, a))
+        return self._merge(self.multiply(a, b), self.multiply(b, a), self.field.add)
+
+    def _merge(self, x: Element, y: Element, op) -> Element:
+        """x op y for two fresh products of this algebra, built in x's dict:
+        no scaled copy of y and no second context check."""
+        f = self.field
+        is_zero, zero = f.is_zero, f.zero
+        out = x.terms
+        get, pop = out.get, out.pop
+        for m, c in y.terms.items():
+            s = op(get(m, zero), c)
+            if is_zero(s):
+                pop(m, None)
+            else:
+                out[m] = s
+        return x
 
     # ------------------------------------------------------------------
     # basis enumeration

@@ -15,7 +15,6 @@ of silently reconciling either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .graphs import (
@@ -36,16 +35,18 @@ _CHAR2_INDEX = {"E1": (1, 1), "E2": (1, 1), "E3": (3, 3), "E4": (2, 3),
 _CHARN_INDEX = {"E1": (0, 0), "E2": (1, 1), "E4": (1, 2)}
 
 
-@dataclass
 class Verdict:
-    lie_solvable: bool
-    lie_index: Optional[int]
-    lie_nilpotent: bool
-    jordan_solvable: str  # "yes" | "no" | "not-classified"
-    jordan_nilpotent: str  # "yes" | "no"
-    components: list = dc_field(default_factory=list)  # (component id, Graph, PatternClass)
-    witnesses: list = dc_field(default_factory=list)
-    caveats: list = dc_field(default_factory=list)
+    def __init__(self, lie_solvable: bool, lie_index: Optional[int], lie_nilpotent: bool,
+                 jordan_solvable: str, jordan_nilpotent: str, components: list = None,
+                 witnesses: list = None, caveats: list = None):
+        self.lie_solvable = lie_solvable
+        self.lie_index = lie_index
+        self.lie_nilpotent = lie_nilpotent
+        self.jordan_solvable = jordan_solvable  # "yes" | "no" | "not-classified"
+        self.jordan_nilpotent = jordan_nilpotent  # "yes" | "no"
+        self.components = [] if components is None else components  # (component id, Graph, PatternClass)
+        self.witnesses = [] if witnesses is None else witnesses
+        self.caveats = [] if caveats is None else caveats
 
     def to_json_obj(self) -> dict:
         return {
@@ -141,12 +142,12 @@ def classify(g: Graph, characteristic: int) -> Verdict:
     )
 
 
-@dataclass
 class CrossReport:
-    status: str  # "AGREE" | "CONSISTENT" | "FAIL"
-    verdict: Verdict
-    probe: SeriesReport
-    notes: list = dc_field(default_factory=list)
+    def __init__(self, status: str, verdict: Verdict, probe: SeriesReport, notes: list = None):
+        self.status = status  # "AGREE" | "CONSISTENT" | "FAIL"
+        self.verdict = verdict
+        self.probe = probe
+        self.notes = [] if notes is None else notes
 
     def to_json_obj(self) -> dict:
         return {

@@ -10,32 +10,43 @@ scan in declared order so results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class GraphError(ValueError):
     """Raised for structurally invalid graph descriptions."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: str
     infinite_emitter: bool = False
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
 class Graph:
-    vertices: tuple = ()
-    edges: tuple = ()
+    """Vertices and edges in declared order; immutable by convention, equal
+    and hashed by those two tuples.  The lookup tables are derived lazily."""
+
+    def __init__(self, vertices: tuple = (), edges: tuple = ()):
+        self.vertices = vertices
+        self.edges = edges
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"Graph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @cached_property
     def vertex_ids(self) -> tuple:
@@ -178,8 +189,7 @@ def _topo_attempt(g: Graph):
     return None, indeg
 
 
-@dataclass(frozen=True)
-class ForbiddenWitness:
+class ForbiddenWitness(NamedTuple):
     """A concrete structure forcing non-solvability of the skew part.
 
     kind is one of "CycleWithExit", "F1", "F2", "F3".  For a cycle with an
@@ -378,8 +388,7 @@ def decompose_components(g: Graph) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class Card:
+class Card(NamedTuple):
     """Cardinality descriptor: a materialized count, possibly marked infinite."""
 
     count: int
@@ -392,8 +401,7 @@ class Card:
         return "infinite" if self.infinite else self.count
 
 
-@dataclass(frozen=True)
-class PatternClass:
+class PatternClass(NamedTuple):
     """Result of matching one weak component against the six star shapes.
 
     kind None means no match.  sink_count / loop_count describe the star's
@@ -405,8 +413,8 @@ class PatternClass:
 
     kind: Optional[str]
     center: Optional[str] = None
-    sink_count: Card = field(default_factory=lambda: Card(0))
-    loop_count: Card = field(default_factory=lambda: Card(0))
+    sink_count: Card = Card(0)
+    loop_count: Card = Card(0)
 
     @property
     def infinite(self) -> bool:

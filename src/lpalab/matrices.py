@@ -10,7 +10,6 @@ object so the same code serves field entries and Laurent entries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 
 from .algebra import LeavittAlgebra, corner_embedding, forbidden_embedding_units, unit_embedding
 from .graphs import Graph
@@ -22,14 +21,16 @@ class MatrixLabError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class MatrixRingCtx:
-    n: int
-    ring: object
+    """n x n matrices over ``ring`` (a field or a ``LaurentRing``)."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("n", "ring")
+
+    def __init__(self, n: int, ring):
+        if n < 1:
             raise MatrixLabError("matrix degree must be >= 1")
+        self.n = n
+        self.ring = ring
 
     @property
     def involution_kind(self) -> str:
@@ -150,13 +151,14 @@ def skew_matrix_basis(ctx: MatrixRingCtx, degree_bound: int = 0) -> list:
 # reports
 
 
-@dataclass
 class MatrixReport:
-    case: str
-    params: dict
-    steps_checked: int = 0
-    failures: list = dc_field(default_factory=list)
-    notes: list = dc_field(default_factory=list)
+    def __init__(self, case: str, params: dict, steps_checked: int = 0,
+                 failures: list = None, notes: list = None):
+        self.case = case
+        self.params = params
+        self.steps_checked = steps_checked
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:

@@ -12,10 +12,18 @@ Laurent products run on plain Python ints: each field turns a factor's
 coefficients into integers over one common denominator, the product
 accumulates integer multiply-adds per exponent, and the field reduces each
 exponent once at the end.
+
+``Z`` is the ring of integers, for path-algebra work over Q without
+fractions: the skew and symmetric generators have coefficients +-1, so every
+product of integer combinations is again integral, and integer echelon rows
+span over Q what the rational rows span.  It offers only the ring operations
+(``zero``, ``one``, ``from_int``, ``add``, ``sub``, ``mul``, ``is_zero``);
+there is no ``inv``, so a caller that needs division has to scale instead.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -178,6 +186,25 @@ class RationalField:
         return {e: Fraction(c, den) for e, c in acc.items() if c}
 
 
+class IntegerRing:
+    """Z, characteristic 0.  The operations are the builtin int operators,
+    so loops that bind them call no Python function per coefficient."""
+
+    characteristic = 0
+    zero = 0
+    one = 1
+    from_int = staticmethod(int)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    is_zero = staticmethod(operator.not_)
+
+    def __repr__(self):
+        return "Z"
+
+
+Z = IntegerRing()
+
 _FIELDS = {"Q": RationalField(), "F2": PrimeField(2), "F3": PrimeField(3), "F5": PrimeField(5)}
 
 
@@ -300,9 +327,6 @@ class LaurentRing:
 
     def is_zero(self, f: dict) -> bool:
         return not f
-
-    def eq(self, f: dict, g: dict) -> bool:
-        return f == g
 
     def to_str(self, f: dict) -> str:
         if not f:

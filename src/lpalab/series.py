@@ -3,24 +3,36 @@ lower central series built on it.
 
 A Subspace is a canonical reduced echelon basis: rows are sparse dicts
 {key: coefficient}, the pivot of each row is its least key under the supplied
-order, pivots strictly increase down the row list, every pivot has coefficient
-one and appears in no other row.  Two subspaces are equal iff their row lists
-are identical, so a series stops at the first step that repeats its
-predecessor, and the witness of a step (its first row) is the least-pivot row
-of that canonical basis.
+order, pivots strictly increase down the row list, and every pivot appears in
+no other row.  The coefficient ring fixes the scale of each row, in one of
+two canonical forms:
+
+- over a field the row is monic: its pivot coefficient is one;
+- over the integers ``Z`` the row is primitive (the gcd of its coefficients
+  is 1) with a positive pivot coefficient, i.e. the monic row over Q times
+  the least positive integer that clears its denominators.
+
+Either way two subspaces are equal iff their row lists are identical, so a
+series stops at the first step that repeats its predecessor, and the witness
+of a step (its first row) is the least-pivot row of that canonical basis.
 
 The same machinery serves the path algebra (keys are monomials) and the
 matrix rings (keys are entry coordinates, possibly with a Laurent exponent).
+Path-algebra probes over Q run on ``Z``: products and elimination stay
+fraction-free (in the manner of Bareiss, Math. Comp. 22, 1968), and only the
+witness row is turned back into its monic rational form for display.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional
 
 from .algebra import LeavittAlgebra, Element, mono_order_key
 from .graphs import Graph, is_acyclic
+from .scalars import Z
 
 
 class SeriesError(ValueError):
@@ -33,13 +45,16 @@ class ModeUnavailableError(SeriesError):
 
 
 class Subspace:
-    """Reduced echelon span of sparse rows over an exact field.
+    """Reduced echelon span of sparse rows over an exact field or over ``Z``.
 
     ``rows`` lists the basis in increasing pivot order; ``_pivot_keys`` holds
     the sort key of each row's pivot in the same order (for bisection), and
     ``_pivot_row`` maps each pivot to its row.  Because every pivot column is
     zero in all rows but its own, clearing one pivot from a vector never brings
     in another, so a reduction is one pass over the vector's pivot columns.
+
+    Rows are monic over a field and primitive with a positive pivot over
+    ``Z`` (see the module docstring); both forms are unique for a given span.
     """
 
     __slots__ = ("field", "key", "rows", "_pivot_keys", "_pivot_row")
@@ -55,8 +70,17 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _axpy(self, row: dict, c, other: dict):
-        # row -= c * other, in place
+    def _axpy(self, row: dict, c, other: dict, d):
+        """row <- d * row - c * other, in place, where d is the pivot
+        coefficient of other and c the entry of row in that column.  Over a
+        field d is one; over Z (c, d) are first divided by their gcd."""
+        if d != 1:
+            g = gcd(c, d)
+            c //= g
+            d //= g
+            if d != 1:
+                for k in row:
+                    row[k] *= d
         f = self.field
         sub, mul, is_zero, zero = f.sub, f.mul, f.is_zero, f.zero
         get, pop = row.get, row.pop
@@ -68,14 +92,15 @@ class Subspace:
                 row[k] = s
 
     def reduce(self, vec: dict) -> dict:
-        """Remainder of vec against the current basis (vec not mutated)."""
+        """Remainder of vec against the current basis (vec not mutated).
+        Over Z it is a nonzero multiple of the remainder over Q."""
         row = dict(vec)
         pivot_row = self._pivot_row
-        for p, c in vec.items():
+        for p in vec:
             r = pivot_row.get(p)
             if r is not None:
-                # Other rows are zero at p, so row[p] is still vec[p] here.
-                self._axpy(row, c, r)
+                # Other rows are zero at p, so clearing p brings in no pivot.
+                self._axpy(row, row[p], r, r[p])
         return row
 
     def insert(self, vec: dict) -> bool:
@@ -86,13 +111,20 @@ class Subspace:
         f = self.field
         key = self.key
         p = min(row, key=key) if key is not None else min(row)
-        inv, mul = f.inv(row[p]), f.mul
-        row = {k: mul(inv, v) for k, v in row.items()}
+        integral = f is Z
+        if integral:
+            _divide_content(row, -1 if row[p] < 0 else 1)
+        else:
+            inv, mul = f.inv(row[p]), f.mul
+            row = {k: mul(inv, v) for k, v in row.items()}
         # eliminate the new pivot from every existing row
+        d = row[p]
         for r in self.rows:
             c = r.get(p)
             if c is not None:
-                self._axpy(r, c, row)
+                self._axpy(r, c, row, d)
+                if integral:
+                    _divide_content(r)
         pk = key(p) if key is not None else p
         i = bisect_right(self._pivot_keys, pk)
         self._pivot_keys.insert(i, pk)
@@ -110,6 +142,14 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return not self.rows
+
+
+def _divide_content(row: dict, sign: int = 1) -> None:
+    """Divide an integer row in place by sign times the gcd of its entries."""
+    g = sign * gcd(*row.values())
+    if g != 1:
+        for k in row:
+            row[k] //= g
 
 
 def span(fld, vectors, key: Callable = None) -> Subspace:
@@ -144,7 +184,6 @@ def product_span(S: Subspace, T: Subspace, pair_op: Callable, same: bool = False
     return out
 
 
-@dataclass
 class SeriesReport:
     """Dimensions of one solvability/nilpotency series run.
 
@@ -158,17 +197,17 @@ class SeriesReport:
     least-pivot row of the last nonzero step's reduced echelon basis.
     """
 
-    kind: str
-    mode: str
-    dims: list
-    vanished_at: Optional[int] = None
-    witness_text: Optional[str] = None
-    caveat: Optional[str] = None
-    stabilized: bool = False
-    weight: Optional[int] = None
-
-    def nonzero_through(self, depth: int) -> bool:
-        return len(self.dims) > depth and all(d > 0 for d in self.dims[: depth + 1])
+    def __init__(self, kind: str, mode: str, dims: list, vanished_at: Optional[int] = None,
+                 witness_text: Optional[str] = None, caveat: Optional[str] = None,
+                 stabilized: bool = False, weight: Optional[int] = None):
+        self.kind = kind
+        self.mode = mode
+        self.dims = dims
+        self.vanished_at = vanished_at
+        self.witness_text = witness_text
+        self.caveat = caveat
+        self.stabilized = stabilized
+        self.weight = weight
 
     def to_json_obj(self) -> dict:
         return {
@@ -288,12 +327,17 @@ def solvability_probe(graph: Graph, fld, structure: str = "lie", mode: str = "ex
     and the answer is complete.  Truncated mode restricts the generators to
     the weight bound but never clips products, so every nonzero step is a
     genuine lower bound while a vanishing step is only evidence.
+
+    Over Q the series runs on integer rows (the generators have coefficients
+    +-1, so every product stays integral); the witness row is divided by its
+    pivot coefficient, which gives the monic rational row of the same span.
     """
     from .exprs import format_element
 
     if structure not in ("lie", "jordan"):
         raise SeriesError(f"unknown structure: {structure!r}")
-    algebra = LeavittAlgebra(graph, fld)
+    rational = fld.characteristic == 0
+    algebra = LeavittAlgebra(graph, Z if rational else fld)
     if mode == "exact":
         if not is_acyclic(graph):
             raise ModeUnavailableError("exact mode requires an acyclic materialized graph")
@@ -315,7 +359,14 @@ def solvability_probe(graph: Graph, fld, structure: str = "lie", mode: str = "ex
         gens = algebra.symmetric_generators(bound)
         op = "circle"
     S0 = element_subspace(algebra, gens)
-    fmt = lambda row: format_element(Element(algebra, row))
+    if rational:
+        shown = LeavittAlgebra(graph, fld)
+
+        def fmt(row):
+            d = row[min(row, key=mono_order_key)]
+            return format_element(Element(shown, {k: Fraction(c, d) for k, c in row.items()}))
+    else:
+        fmt = lambda row: format_element(Element(algebra, row))
     return derived_series(
         S0,
         element_pair_op(algebra, op),

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lpalab.cli import main
+from lpalab.cli import build_parser, main
 from helpers import e3_graph, e4_graph, f1_path_graph
 
 
@@ -230,6 +230,50 @@ def test_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--graph", "g.json", "--char", "3", "--text"],
+    ["verify", "--graph", "g.json", "--field", "Q", "--mode", "truncated", "--weight", "4",
+     "--depth", "2", "--structure", "jordan", "--out", "o.json"],
+    ["matrix", "--case", "prop3c-upper", "--field", "F2", "--samples", "5", "--degree", "0",
+     "--seed", "7"],
+    ["eval", "--graph", "g.json", "--field", "F3", "--expr", "[e, e*]"],
+    ["corpus", "--dir", "d", "--fields", "Q", "--depth", "3"],
+])
+def test_one_subcommand_parser_matches_full_parser(argv):
+    """The parser main builds for one subcommand reads a command line as the
+    parser of all subcommands does, defaults and handler included."""
+    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"], ["bogus"], ["verify", "--bogus"], []])
+def test_one_subcommand_parser_same_help_and_errors(capsys, argv):
+    full = build_parser()
+    with pytest.raises(SystemExit) as want:
+        full.parse_args(argv)
+    want_out = capsys.readouterr()
+    code = main(argv)
+    got = capsys.readouterr()
+    assert code == (2 if want.value.code else 0)
+    assert (got.out, got.err) == (want_out.out, want_out.err)
+
+
+def test_import_pulls_in_no_dataclasses():
+    """Importing the CLI loads no dataclasses/inspect/ast: that chain was
+    0.8 MB of every process's memory for a handful of record classes."""
+    import os
+    import subprocess
+    import sys
+
+    import lpalab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lpalab.__file__)))
+    code = ("import sys, lpalab.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
+
+
 # sha256 of the exact stdout of `lpalab matrix ...`, recorded before the
 # Laurent and matrix arithmetic was rewritten; every case exits 0.
 MATRIX_GOLDEN = [
@@ -267,5 +311,28 @@ MATRIX_GOLDEN = [
                          ids=[" ".join(argv[1:]) for argv, _ in MATRIX_GOLDEN])
 def test_matrix_case_golden_stdout(capsys, argv, digest):
     code, out, err = run(capsys, "matrix", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of the exact stdout of `lpalab verify ... --field Q`, recorded before
+# probes over Q moved to integer rows; every case exits 0.  The E3 witnesses
+# have fractional coefficients; F1 is acyclic and not Lie solvable.
+VERIFY_Q_GOLDEN = [
+    ("e3", ("--mode", "truncated", "--weight", "6", "--depth", "4"),
+     "6c716c7c735fa96bd41142c87298668d9a80dcf65729a1f6c58a714c2cdb28fe"),
+    ("e3", ("--mode", "truncated", "--weight", "4", "--depth", "3"),
+     "f0a72cbd241235f6af136fc6dc363993fa7beea2ee7c6ea0653e79a39d05c61f"),
+    ("f1", ("--mode", "exact"),
+     "6e5f3918fb3f7a1ac2de777dc8cfe016eb2cf4bcfb9bd0c5d6a4873530840134"),
+]
+
+
+@pytest.mark.parametrize("name,argv,digest", VERIFY_Q_GOLDEN,
+                         ids=[f"{name} {' '.join(argv)}" for name, argv, _ in VERIFY_Q_GOLDEN])
+def test_verify_q_golden_stdout(tmp_path, capsys, name, argv, digest):
+    graph = {"e3": e3_graph, "f1": f1_path_graph}[name]()
+    path = write_graph(tmp_path, f"{name}.json", graph)
+    code, out, err = run(capsys, "verify", "--graph", path, "--field", "Q", *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

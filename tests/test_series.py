@@ -3,10 +3,12 @@ non-solvability certificates."""
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from lpalab import (
+    Element,
     LeavittAlgebra,
     ModeUnavailableError,
     SeriesError,
@@ -18,6 +20,7 @@ from lpalab import (
     field_from_spec,
     find_cycle_with_exit,
     find_forbidden_subgraph,
+    format_element,
     graph_from_lists,
     lower_central_series,
     solvability_probe,
@@ -25,6 +28,7 @@ from lpalab import (
 )
 from lpalab.algebra import mono_order_key
 from lpalab.matrices import laurent_corner_certificate, nonsolvability_certificate
+from lpalab.scalars import Z
 from helpers import (
     e1_graph,
     e2_graph,
@@ -68,11 +72,15 @@ def test_span_canonical_reduced_echelon():
 
 def _assert_reduced_echelon(s, key):
     """Pivots (least keys) strictly increase down the rows, carry coefficient
-    one, and appear in no other row."""
+    one (over Z: are positive, in a row whose entries have gcd 1), and appear
+    in no other row."""
     pivots = [min(row, key=key) for row in s.rows]
     assert all(key(a) < key(b) for a, b in zip(pivots, pivots[1:]))
     for i, (p, row) in enumerate(zip(pivots, s.rows)):
-        assert row[p] == s.field.one
+        if s.field is Z:
+            assert row[p] > 0 and gcd(*row.values()) == 1
+        else:
+            assert row[p] == s.field.one
         for j, other in enumerate(s.rows):
             assert j == i or p not in other
 
@@ -147,6 +155,38 @@ def test_subspace_against_dense_gauss_jordan():
                                                  == len(oracle))
                 for v in vectors:
                     assert s.contains(v)
+    # Over Z the rows are the oracle's rows over Q, each scaled to integers
+    # with gcd 1 and a positive pivot.
+    for keys, key in ((monos, mono_order_key), (entries, None)):
+        sort_key = key or (lambda k: k)
+        for _ in range(12):
+            vectors = _random_vectors(Z, rng, keys, rng.randint(1, 14))
+            rational = [{k: Fraction(c) for k, c in v.items()} for v in vectors]
+            s = Subspace(Z, key)
+            for i, v in enumerate(vectors):
+                grew = s.insert(v)
+                assert grew == (len(_dense_rref(Q, rational[: i + 1], sort_key))
+                                > len(_dense_rref(Q, rational[:i], sort_key)))
+            oracle = [_primitive_row(row) for row in _dense_rref(Q, rational, sort_key)]
+            assert s.rows == oracle
+            assert all(type(c) is int for row in s.rows for c in row.values())
+            assert s.dim == len(oracle)
+            _assert_reduced_echelon(s, sort_key)
+            for probe in _random_vectors(Z, rng, keys, 6):
+                extended = rational + [{k: Fraction(c) for k, c in probe.items()}]
+                assert s.contains(probe) == (len(_dense_rref(Q, extended, sort_key))
+                                             == len(oracle))
+            for v in vectors:
+                assert s.contains(v)
+
+
+def _primitive_row(row: dict) -> dict:
+    """A monic rational row scaled to integers with gcd 1 and a positive
+    pivot."""
+    den = lcm(*[c.denominator for c in row.values()])
+    ints = {k: int(c * den) for k, c in row.items()}
+    g = gcd(*ints.values())
+    return {k: c // g for k, c in ints.items()}
 
 
 def test_product_span_examples():
@@ -364,6 +404,74 @@ def test_exact_fixed_point_independent_of_declaration_order(nv, edges, flagged, 
     assert all(d == dims for d in runs)
     assert dims[-1] == dims[-2] > 0
     assert all(a != b for a, b in zip(dims[:-2], dims[1:-1]))
+
+
+def _reference_probe(g, structure, mode, weight, max_depth):
+    """What solvability_probe computes over Q, run on monic Fraction rows:
+    the series over a Q-field Subspace, its witness formatted as is."""
+    alg = LeavittAlgebra(g, Q)
+    bound = 2 * alg.longest_path_length() if mode == "exact" else weight
+    if structure == "lie":
+        gens, op = alg.skew_generators(bound), "bracket"
+    else:
+        gens, op = alg.symmetric_generators(bound), "circle"
+    S0 = element_subspace(alg, gens)
+    assert S0.field is Q
+    return derived_series(
+        S0, element_pair_op(alg, op), max_depth,
+        kind="derived" if structure == "lie" else "jordan_derived", mode=mode,
+        symmetric_op=op == "circle",
+        format_row=lambda row: format_element(Element(alg, row)),
+        weight=None if mode == "exact" else weight,
+    )
+
+
+def _assert_probe_matches_reference(g, structure, mode, weight, max_depth):
+    got = solvability_probe(g, Q, structure, mode, weight=weight, max_depth=max_depth)
+    want = _reference_probe(g, structure, mode, weight, max_depth)
+    assert (got.dims, got.vanished_at, got.stabilized, got.witness_text) == (
+        want.dims, want.vanished_at, want.stabilized, want.witness_text)
+    assert got.to_json_obj() == want.to_json_obj()
+    return got
+
+
+def test_probe_over_q_matches_fraction_reference_acyclic():
+    # Seeded random acyclic graphs, declaration order shuffled, with and
+    # without an infinite emitter; exact and truncated, Lie and Jordan.
+    rng = random.Random(6)
+    outcomes = set()
+    for _ in range(14):
+        nv = rng.randint(2, 4)
+        forward = [(a, b) for a in range(nv) for b in range(a + 1, nv)]
+        edges = [rng.choice(forward) for _ in range(rng.randint(1, 5))]
+        flagged = rng.choice([None] + sorted({a for a, _ in edges}))
+        g = _shuffled_graph(nv, edges, flagged, rng)
+        for structure in ("lie", "jordan"):
+            for mode, weight, depth in (("exact", 6, None), ("truncated", 2, 3),
+                                        ("truncated", 3, 1)):
+                rep = _assert_probe_matches_reference(g, structure, mode, weight, depth)
+                outcomes.add((rep.vanished_at is not None, rep.stabilized))
+    # Vanishing, stabilizing and depth-capped series all occurred.
+    assert outcomes == {(True, False), (False, True), (False, False)}
+
+
+CYCLIC = {"E3": e3_graph, "rose2": lambda: rose_graph(2), "E5(1)": lambda: e5_graph(1)}
+
+
+@pytest.mark.parametrize("name, structure, weight, depth, fractional", [
+    ("E3", "lie", 4, 3, True),
+    ("E3", "jordan", 4, 3, False),
+    ("rose2", "lie", 1, 2, False),
+    ("rose2", "lie", 3, 1, False),
+    ("rose2", "jordan", 2, 1, False),
+    ("E5(1)", "lie", 3, 3, True),
+    ("E5(1)", "jordan", 3, 3, False),
+])
+def test_probe_over_q_matches_fraction_reference_cyclic(name, structure, weight, depth,
+                                                        fractional):
+    rep = _assert_probe_matches_reference(CYCLIC[name](), structure, "truncated", weight, depth)
+    # The Lie witnesses carry non-integer coefficients once made monic.
+    assert ("/" in rep.witness_text) == fractional
 
 
 def test_truncation_monotone_in_weight():
