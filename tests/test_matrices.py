@@ -30,15 +30,14 @@ from lpalab.matrices import (
     diagonal_closed_form,
     field_closed_forms,
     first_bracket_closed_form,
+    is_skew,
     laurent_closed_forms,
     laurent_corner_certificate,
     nonsolvability_certificate,
     mat,
     mat_bracket,
     mat_is_zero,
-    mat_mul,
     mat_sub,
-    zero_mat,
 )
 from lpalab.series import SeriesError
 from helpers import (
@@ -83,30 +82,11 @@ def test_mat_involution_is_involutive_antihomomorphism():
     ring = LaurentRing(F3)
     for ctx in (MatrixRingCtx(2, Q), MatrixRingCtx(3, F3), MatrixRingCtx(2, ring)):
         for _ in range(40):
-            A = _rand_mat(ctx, rng)
-            B = _rand_mat(ctx, rng)
+            A = _random_entry_mat(ctx, rng)
+            B = _random_entry_mat(ctx, rng)
             assert mat_involution(ctx, mat_involution(ctx, A)) == A
-            assert mat_involution(ctx, mat_mul(ctx, A, B)) == mat_mul(
-                ctx, mat_involution(ctx, B), mat_involution(ctx, A))
-
-
-def _rand_mat(ctx, rng):
-    ring = ctx.ring
-    if isinstance(ring, LaurentRing):
-        def entry():
-            out = {}
-            for e in range(-2, 3):
-                c = rng.randrange(ring.field.p) if ring.field.characteristic else \
-                    Fraction(rng.randint(-3, 3))
-                if not ring.field.is_zero(c):
-                    out[e] = c
-            return out
-    else:
-        def entry():
-            if ring.characteristic == 0:
-                return Fraction(rng.randint(-5, 5))
-            return rng.randrange(ring.p)
-    return mat(ctx, [[entry() for _ in range(ctx.n)] for _ in range(ctx.n)])
+            assert mat_involution(ctx, _reference_mul(ctx, A, B)) == mat(ctx, _reference_mul(
+                ctx, mat_involution(ctx, B), mat_involution(ctx, A)))
 
 
 def test_skew_basis_field():
@@ -217,7 +197,7 @@ def test_witness_laurent_nonsolvable():
 def test_char2_laurent_closed_forms_trivial_tuple():
     ring = LaurentRing(F2)
     ctx = MatrixRingCtx(2, ring)
-    Z = zero_mat(ctx)
+    Z = mat(ctx, [[ring.zero, ring.zero], [ring.zero, ring.zero]])
     assert first_bracket_closed_form(ctx, Z, Z) == Z
     assert ring.is_zero(diagonal_closed_form(ctx, Z, Z, Z, Z))
 
@@ -241,7 +221,7 @@ def test_char2_laurent_sharpness_diagonal():
     X2 = mat_bracket(ctx, A2, B)
     sharp = mat_bracket(ctx, X1, X2)
     assert sharp[0][0] == ring.add(x, ring.x_inv())
-    assert sharp != zero_mat(ctx)
+    assert not mat_is_zero(ctx, sharp)
 
 
 def test_corollary_checks():
@@ -284,29 +264,33 @@ def _reference_sub(ctx, A, B):
     return [[sub(A[i][j], B[i][j]) for j in range(ctx.n)] for i in range(ctx.n)]
 
 
-def _random_entry_mat(ctx, rng):
-    ring = ctx.ring
+def _entry_sampler(ring, rng):
     if isinstance(ring, LaurentRing):
-        def entry():
-            return random_laurent(ring.field, rng, rng.randint(0, 5), -3, 3)
-    else:
-        def entry():
-            return random_field_elem(ring, rng)
-    return mat(ctx, [[entry() for _ in range(ctx.n)] for _ in range(ctx.n)])
+        return lambda: random_laurent(ring.field, rng, rng.randint(0, 5), -3, 3)
+    return lambda: random_field_elem(ring, rng)
+
+
+def _random_entry_mat(ctx, rng, density=1.0, zero_diagonal=False):
+    """Each entry random with probability ``density``, zero otherwise."""
+    ring, entry = ctx.ring, _entry_sampler(ctx.ring, rng)
+    return mat(ctx, [[ring.zero if (zero_diagonal and i == j) or rng.random() >= density
+                      else entry() for j in range(ctx.n)] for i in range(ctx.n)])
 
 
 def test_mat_arithmetic_matches_entrywise_reference():
+    # The schoolbook AB - BA is the oracle of the commutator kernel.  At n = 4
+    # each off-diagonal entry has two terms k other than i and j; sparse and
+    # zero-diagonal matrices zero out parts of the collapsed k = i, j terms.
     rng = random.Random(17)
     F5 = field_from_spec("F5")
     rings = [Q, F2, F3, F5, LaurentRing(Q), LaurentRing(F2), LaurentRing(F3)]
+    shapes = [(1.0, False)] * 15 + [(0.4, False)] * 5 + [(1.0, True)] * 5 + [(0.5, True)] * 5
     for ring in rings:
-        for n in (2, 3):
+        for n in (1, 2, 3, 4):
             ctx = MatrixRingCtx(n, ring)
-            for _ in range(25):
-                A = _random_entry_mat(ctx, rng)
-                B = _random_entry_mat(ctx, rng)
-                AB = mat_mul(ctx, A, B)
-                assert [list(r) for r in AB] == _reference_mul(ctx, A, B)
+            for density, zero_diagonal in shapes:
+                A = _random_entry_mat(ctx, rng, density, zero_diagonal)
+                B = _random_entry_mat(ctx, rng, density, zero_diagonal)
                 assert [list(r) for r in mat_sub(ctx, A, B)] == _reference_sub(ctx, A, B)
                 ref_bracket = _reference_sub(ctx, _reference_mul(ctx, A, B),
                                              _reference_mul(ctx, B, A))
@@ -317,6 +301,75 @@ def test_mat_arithmetic_matches_entrywise_reference():
                     for row in bracket:
                         for entry in row:
                             assert_canonical_laurent(ring.field, entry)
+
+
+class _CountingField:
+    """A field that counts its multiplications."""
+
+    def __init__(self, fld):
+        self.zero, self.add, self.sub, self._mul = fld.zero, fld.add, fld.sub, fld.mul
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return self._mul(a, b)
+
+
+def test_mat_bracket_makes_n_n1_2n1_entry_products():
+    # n(n-1)(2n-1) against 2n^3 for two schoolbook products.
+    rng = random.Random(5)
+    for n, products in ((1, 0), (2, 6), (3, 30), (4, 84)):
+        ctx = MatrixRingCtx(n, Q)
+        A, B = _random_entry_mat(ctx, rng), _random_entry_mat(ctx, rng)
+        ring = _CountingField(Q)
+        bracket = mat_bracket(MatrixRingCtx(n, ring), A, B)
+        assert ring.muls == products
+        assert [list(r) for r in bracket] == _reference_sub(
+            ctx, _reference_mul(ctx, A, B), _reference_mul(ctx, B, A))
+
+
+def _random_skew_mat(ctx, rng):
+    """Random entries above the diagonal, -a~ mirrored below it, and diagonal
+    entries d with d~ = -d (a random d that is not is replaced by d - d~)."""
+    ring, entry = ctx.ring, _entry_sampler(ctx.ring, rng)
+    rows = [[ring.zero] * ctx.n for _ in range(ctx.n)]
+    for i in range(ctx.n):
+        d = entry()
+        if ring.involute(d) != ring.neg(d):
+            d = ring.sub(d, ring.involute(d))
+        rows[i][i] = d
+        for j in range(i + 1, ctx.n):
+            rows[i][j] = entry()
+            rows[j][i] = ring.neg(ring.involute(rows[i][j]))
+    return mat(ctx, rows)
+
+
+def test_is_skew_matches_definition():
+    # The definition compares the whole involuted matrix with the whole
+    # negated one.  Each bumped matrix differs from a skew one in exactly one
+    # diagonal or one below-diagonal entry; over F2 every diagonal entry is
+    # skew, so there a diagonal bump keeps the matrix skew.
+    rng = random.Random(29)
+    for ring in (F2, F3, Q, LaurentRing(Q), LaurentRing(F2)):
+        bump = ring.x() if isinstance(ring, LaurentRing) else ring.one
+        for n in (1, 2, 3, 4):
+            ctx = MatrixRingCtx(n, ring)
+
+            def definition(M):
+                return mat_involution(ctx, M) == tuple(tuple(ring.neg(x) for x in row)
+                                                       for row in M)
+
+            for _ in range(6):
+                S = _random_skew_mat(ctx, rng)
+                assert definition(S) and is_skew(ctx, S)
+                R = _random_entry_mat(ctx, rng)
+                assert is_skew(ctx, R) == definition(R)
+                for i in range(n):
+                    for j in range(i + 1):
+                        rows = [list(r) for r in S]
+                        rows[i][j] = ring.add(rows[i][j], bump)
+                        M = mat(ctx, rows)
+                        assert is_skew(ctx, M) == definition(M) == (ring is F2 and i == j)
 
 
 # ----------------------------------------------------------------------
