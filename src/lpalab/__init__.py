@@ -59,7 +59,6 @@ from .series import (
     lower_central_series,
     product_span,
     solvability_probe,
-    span,
 )
 
 __version__ = "0.1.0"

@@ -137,23 +137,19 @@ class LeavittAlgebra:
         cached = self._nf_cache.get(m)
         if cached is not None:
             return cached
-        lam, nu, anchor = m
-        if not lam or not nu or lam[-1] != nu[-1]:
+        if self.is_basis_mono(m):
             res = {m: 1}
         else:
-            e = lam[-1]
-            v = self._src[e]
-            if not (v in self._regular and self._last_edge[v] == e):
-                res = {m: 1}
-            else:
-                res = dict(self._nf_mono((lam[:-1], nu[:-1], v)))
-                for ei in self._out[v][:-1]:
-                    mm = (lam[:-1] + (ei,), nu[:-1] + (ei,), self._dst[ei])
-                    c = res.get(mm, 0) - 1
-                    if c:
-                        res[mm] = c
-                    else:
-                        del res[mm]
+            lam, nu, _ = m
+            v = self._src[lam[-1]]
+            res = dict(self._nf_mono((lam[:-1], nu[:-1], v)))
+            for ei in self._out[v][:-1]:
+                mm = (lam[:-1] + (ei,), nu[:-1] + (ei,), self._dst[ei])
+                c = res.get(mm, 0) - 1
+                if c:
+                    res[mm] = c
+                else:
+                    del res[mm]
         self._nf_cache[m] = res
         return res
 
@@ -237,18 +233,12 @@ class LeavittAlgebra:
     def add(self, a: Element, b: Element) -> Element:
         self._require_context(a)
         self._require_context(b)
-        f = self.field
-        out = dict(a.terms)
-        for m, c in b.terms.items():
-            s = f.add(out.get(m, f.zero), c)
-            if f.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Element(self, out)
+        return self._merge(Element(self, dict(a.terms)), b, self.field.add)
 
     def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.scale(self.field.from_int(-1), b))
+        self._require_context(a)
+        self._require_context(b)
+        return self._merge(Element(self, dict(a.terms)), b, self.field.sub)
 
     def scale(self, c, a: Element) -> Element:
         f = self.field
@@ -299,8 +289,8 @@ class LeavittAlgebra:
         return self._merge(self.multiply(a, b), self.multiply(b, a), self.field.add)
 
     def _merge(self, x: Element, y: Element, op) -> Element:
-        """x op y for two fresh products of this algebra, built in x's dict:
-        no scaled copy of y and no second context check."""
+        """x op y built in x's dict, which it mutates: x is a fresh element
+        (a product or a copy), and y has passed the context check."""
         f = self.field
         is_zero, zero = f.is_zero, f.zero
         out = x.terms
@@ -351,36 +341,6 @@ class LeavittAlgebra:
                                 monos.append(m)
         monos.sort(key=mono_order_key)
         return monos
-
-    def basis_count(self, max_weight: int) -> int:
-        """Number of basis monomials of weight <= max_weight (cheap DP count)."""
-        nv = len(self.graph.vertices)
-        counts = [[0] * nv for _ in range(max_weight + 1)]
-        for v in range(nv):
-            counts[0][v] = 1
-        for k in range(1, max_weight + 1):
-            for v in range(nv):
-                c = counts[k - 1][v]
-                if not c:
-                    continue
-                for e in self._out[v]:
-                    counts[k][self._dst[e]] += c
-        # Excluded pairs both end with the last edge of a regular vertex.
-        total = 0
-        for v in range(nv):
-            ending = [counts[a][v] for a in range(max_weight + 1)]
-            for a in range(max_weight + 1):
-                for b in range(max_weight + 1 - a):
-                    total += ending[a] * ending[b]
-        excl = 0
-        for v in self._regular:
-            e = self._last_edge[v]
-            w = self._dst[e]
-            # pairs (lam' e, nu' e): lam', nu' end at v, weight grows by 2
-            for a in range(max_weight):
-                for b in range(max_weight - 1 - a):
-                    excl += counts[a][v] * counts[b][v]
-        return total - excl
 
     def longest_path_length(self) -> int:
         if not is_acyclic(self.graph):

@@ -25,7 +25,7 @@ from .graphs import (
     is_acyclic,
     match_pattern,
 )
-from .series import ModeUnavailableError, SeriesReport, solvability_probe
+from .series import SeriesReport, solvability_probe
 
 INDEX_NOTE = ("index = smallest n with the n-th derived step zero; "
               "a zero skew part has index 0")
@@ -166,14 +166,12 @@ def cross_validate(g: Graph, fld, mode: str = "auto", weight: int = 6,
     match the computed index, a non-solvable verdict must see the series
     stabilize nonzero.  Truncated mode checks only the sound directions: a
     nonzero step k is a contradiction whenever the predicted index is <= k;
-    anything else is consistent evidence.
+    anything else is consistent evidence.  Exact mode on a graph with a
+    cycle raises the probe's ``ModeUnavailableError``.
     """
     verdict = classify(g, fld.characteristic)
-    acyclic = is_acyclic(g)
     if mode == "auto":
-        mode = "exact" if acyclic else "truncated"
-    if mode == "exact" and not acyclic:
-        raise ModeUnavailableError("exact mode requires an acyclic materialized graph")
+        mode = "exact" if is_acyclic(g) else "truncated"
     notes = []
     if structure == "jordan" and fld.characteristic != 2:
         # No classified Jordan prediction away from characteristic 2: the

@@ -166,27 +166,21 @@ def regular_vertices(g: Graph) -> set:
 
 
 def is_acyclic(g: Graph) -> bool:
-    order, _ = _topo_attempt(g)
-    return order is not None
-
-
-def _topo_attempt(g: Graph):
+    """Kahn's algorithm: every vertex is removed once its in-edges are."""
     indeg = {v.id: 0 for v in g.vertices}
     for e in g.edges:
         indeg[e.dst] += 1
     stack = [v.id for v in g.vertices if indeg[v.id] == 0]
-    order = []
+    removed = 0
     while stack:
         v = stack.pop()
-        order.append(v)
+        removed += 1
         for ei in g.out_edges[v]:
             w = g.edges[ei].dst
             indeg[w] -= 1
             if indeg[w] == 0:
                 stack.append(w)
-    if len(order) == len(g.vertices):
-        return order, indeg
-    return None, indeg
+    return removed == len(g.vertices)
 
 
 class ForbiddenWitness(NamedTuple):

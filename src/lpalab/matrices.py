@@ -35,10 +35,6 @@ class MatrixRingCtx:
         self.n = n
         self.ring = ring
 
-    @property
-    def involution_kind(self) -> str:
-        return "laurent" if isinstance(self.ring, LaurentRing) else "transpose"
-
 
 def mat(ctx: MatrixRingCtx, rows) -> tuple:
     rows = tuple(tuple(r) for r in rows)
@@ -128,7 +124,7 @@ def skew_matrix_basis(ctx: MatrixRingCtx, degree_bound: int = 0) -> list:
     """
     ring = ctx.ring
     out = []
-    if ctx.involution_kind == "transpose":
+    if not isinstance(ring, LaurentRing):
         char2 = ring.characteristic == 2
         for i in range(1, ctx.n + 1):
             for j in range(i + 1, ctx.n + 1):
@@ -389,10 +385,8 @@ def laurent_corner_certificate(graph: Graph, fld, entry_edge: str, cycle_edges,
 # characteristic-2 Laurent checks
 
 
-def _skew_entries(ctx, A):
-    """(a, b, c) for A = [[a, b], [-b~, c]]; raises if A is not skew."""
-    if not is_skew(ctx, A):
-        raise MatrixLabError("matrix is not skew")
+def _skew_entries(A):
+    """(a, b, c) for a skew A = [[a, b], [-b~, c]]; the caller checks skewness."""
     return A[0][0], A[0][1], A[1][1]
 
 
@@ -400,23 +394,23 @@ def first_bracket_closed_form(ctx: MatrixRingCtx, A, B):
     """[A, B] for skew 2x2 A, B via the closed form: [[r, s], [-s~, -r]] with
     r = b~ v - b v~ and s = v (a - c) + b (w - u)."""
     ring = ctx.ring
-    a, b, c = _skew_entries(ctx, A)
-    u, v, w = _skew_entries(ctx, B)
+    a, b, c = _skew_entries(A)
+    u, v, w = _skew_entries(B)
     r = ring.sub(ring.mul(ring.involute(b), v), ring.mul(b, ring.involute(v)))
     s = ring.add(ring.mul(v, ring.sub(a, c)), ring.mul(b, ring.sub(w, u)))
     return mat(ctx, [[r, s], [ring.neg(ring.involute(s)), ring.neg(r)]])
 
 
 def diagonal_closed_form(ctx: MatrixRingCtx, A1, B1, A2, B2):
-    """The (1,1) entry of [X1, X2] expanded in the starting entries:
+    """The (1,1) entry of [X1, X2] for skew A1, B1, A2, B2, in their entries:
     (v2 v1~ - v1 v2~)(a1 - c1)(c2 - a2) + (v2 b1~ - b1 v2~)(a2 - c2)(u1 - w1)
     + (v1 b2~ - b2 v1~)(w2 - u2)(a1 - c1) + (b1 b2~ - b2 b1~)(u1 - w1)(u2 - w2).
     """
     ring = ctx.ring
-    a1, b1, c1 = _skew_entries(ctx, A1)
-    u1, v1, w1 = _skew_entries(ctx, B1)
-    a2, b2, c2 = _skew_entries(ctx, A2)
-    u2, v2, w2 = _skew_entries(ctx, B2)
+    a1, b1, c1 = _skew_entries(A1)
+    u1, v1, w1 = _skew_entries(B1)
+    a2, b2, c2 = _skew_entries(A2)
+    u2, v2, w2 = _skew_entries(B2)
 
     def twist(p, q):
         return ring.sub(ring.mul(p, ring.involute(q)), ring.mul(q, ring.involute(p)))
@@ -474,6 +468,8 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
         for _ in range(4):
             As.append(skew_mat(rand_skew_scalar(), rand_poly(), rand_skew_scalar()))
             Bs.append(skew_mat(rand_skew_scalar(), rand_poly(), rand_skew_scalar()))
+        if not all(is_skew(ctx, M) for M in As + Bs):
+            raise MatrixLabError("matrix is not skew")
         Xs = []
         for i in range(4):
             X = mat_bracket(ctx, As[i], Bs[i])
@@ -519,7 +515,7 @@ def mat_to_vec(ctx: MatrixRingCtx, A) -> dict:
     """Flatten to sparse coordinates: (i, j) for fields, (i, j, exp) for
     Laurent entries, over the base field either way."""
     out = {}
-    if ctx.involution_kind == "transpose":
+    if not isinstance(ctx.ring, LaurentRing):
         for i in range(ctx.n):
             for j in range(ctx.n):
                 if not ctx.ring.is_zero(A[i][j]):
@@ -533,7 +529,7 @@ def mat_to_vec(ctx: MatrixRingCtx, A) -> dict:
 
 
 def vec_to_mat(ctx: MatrixRingCtx, vec: dict):
-    if ctx.involution_kind == "transpose":
+    if not isinstance(ctx.ring, LaurentRing):
         rows = [[ctx.ring.zero] * ctx.n for _ in range(ctx.n)]
         for (i, j), c in vec.items():
             rows[i][j] = c

@@ -87,9 +87,6 @@ class PrimeField:
             raise ScalarError("division by zero")
         return pow(a, -1, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0
 
@@ -100,7 +97,7 @@ class PrimeField:
         try:
             if "/" in text:
                 num, den = text.split("/", 1)
-                return self.div(int(num) % self.p, int(den) % self.p)
+                return self.mul(int(num) % self.p, self.inv(int(den) % self.p))
             return int(text) % self.p
         except ValueError as exc:
             raise ScalarError(f"bad F{self.p} scalar: {text!r}") from exc
@@ -156,9 +153,6 @@ class RationalField:
         if a == 0:
             raise ScalarError("division by zero")
         return 1 / a
-
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * self.inv(b)
 
     def is_zero(self, a: Fraction) -> bool:
         return a == 0
@@ -262,9 +256,6 @@ class LaurentRing:
     def from_int(self, n: int) -> dict:
         return self.monomial(0, self.field.from_int(n))
 
-    def scalar(self, c) -> dict:
-        return self.monomial(0, c)
-
     def add(self, f: dict, g: dict) -> dict:
         out = dict(f)
         add = self.field.add
@@ -315,12 +306,6 @@ class LaurentRing:
                 else:
                     acc[e] = c1 * c2
         return fld.reduce_coeffs(acc, f_den * g_den)
-
-    def smul(self, c, f: dict) -> dict:
-        fld = self.field
-        if fld.is_zero(c):
-            return {}
-        return {e: fld.mul(c, v) for e, v in f.items()}
 
     def involute(self, f: dict) -> dict:
         return {-e: c for e, c in f.items()}

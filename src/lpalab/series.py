@@ -132,16 +132,10 @@ class Subspace:
         self._pivot_row[p] = row
         return True
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         return self.rows == other.rows
-
-    def is_zero(self) -> bool:
-        return not self.rows
 
 
 def _divide_content(row: dict, sign: int = 1) -> None:
@@ -150,13 +144,6 @@ def _divide_content(row: dict, sign: int = 1) -> None:
     if g != 1:
         for k in row:
             row[k] //= g
-
-
-def span(fld, vectors, key: Callable = None) -> Subspace:
-    s = Subspace(fld, key)
-    for v in vectors:
-        s.insert(v)
-    return s
 
 
 def product_span(S: Subspace, T: Subspace, pair_op: Callable, same: bool = False,
@@ -330,7 +317,8 @@ def solvability_probe(graph: Graph, fld, structure: str = "lie", mode: str = "ex
 
     Over Q the series runs on integer rows (the generators have coefficients
     +-1, so every product stays integral); the witness row is divided by its
-    pivot coefficient, which gives the monic rational row of the same span.
+    pivot coefficient into the monic rational row of the same span, which the
+    Z algebra formats: ``format_element`` reads only graph and characteristic.
     """
     from .exprs import format_element
 
@@ -359,14 +347,12 @@ def solvability_probe(graph: Graph, fld, structure: str = "lie", mode: str = "ex
         gens = algebra.symmetric_generators(bound)
         op = "circle"
     S0 = element_subspace(algebra, gens)
-    if rational:
-        shown = LeavittAlgebra(graph, fld)
 
-        def fmt(row):
+    def fmt(row):
+        if rational:
             d = row[min(row, key=mono_order_key)]
-            return format_element(Element(shown, {k: Fraction(c, d) for k, c in row.items()}))
-    else:
-        fmt = lambda row: format_element(Element(algebra, row))
+            row = {k: Fraction(c, d) for k, c in row.items()}
+        return format_element(Element(algebra, row))
     return derived_series(
         S0,
         element_pair_op(algebra, op),

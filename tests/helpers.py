@@ -71,6 +71,36 @@ def random_element(alg: LeavittAlgebra, rng, max_weight=3, terms=4):
     return alg.element(picked)
 
 
+def basis_count(alg: LeavittAlgebra, max_weight: int) -> int:
+    """Number of basis monomials of weight <= max_weight, by a path-count
+    DP instead of enumeration: the count oracle for ``basis_monomials``."""
+    nv = len(alg.graph.vertices)
+    counts = [[0] * nv for _ in range(max_weight + 1)]
+    for v in range(nv):
+        counts[0][v] = 1
+    for k in range(1, max_weight + 1):
+        for v in range(nv):
+            c = counts[k - 1][v]
+            if not c:
+                continue
+            for e in alg._out[v]:
+                counts[k][alg._dst[e]] += c
+    # Excluded pairs both end with the last edge of a regular vertex.
+    total = 0
+    for v in range(nv):
+        ending = [counts[a][v] for a in range(max_weight + 1)]
+        for a in range(max_weight + 1):
+            for b in range(max_weight + 1 - a):
+                total += ending[a] * ending[b]
+    excl = 0
+    for v in alg._regular:
+        # pairs (lam' e, nu' e): lam', nu' end at v, weight grows by 2
+        for a in range(max_weight):
+            for b in range(max_weight - 1 - a):
+                excl += counts[a][v] * counts[b][v]
+    return total - excl
+
+
 def corpus_graphs(max_v=4, max_e=5):
     """Every graph with <= max_v vertices and <= max_e edges, one canonical
     representative per relabeling class."""

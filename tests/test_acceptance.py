@@ -24,6 +24,7 @@ from lpalab import (
 )
 from lpalab.matrices import laurent_corner_certificate, nonsolvability_certificate
 from helpers import (
+    basis_count,
     build_corpus_graph,
     corpus_graphs,
     e1_graph,
@@ -254,7 +255,7 @@ def test_criterion_09_jordan_claims():
 
 def _adaptive_weight(alg, start=6, cap=220):
     w = start
-    while w > 1 and alg.basis_count(w) > cap:
+    while w > 1 and basis_count(alg, w) > cap:
         w -= 1
     return w
 

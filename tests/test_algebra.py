@@ -16,7 +16,9 @@ from lpalab import (
     verify_matrix_units,
 )
 from lpalab.algebra import mono_order_key, mono_star
+from lpalab.scalars import Z
 from helpers import (
+    basis_count,
     e1_graph,
     e2_graph,
     e4_graph,
@@ -151,6 +153,37 @@ def test_circle_examples():
         assert f2alg.circle(x, y) == f2alg.bracket(x, y)
 
 
+def test_add_sub_leave_inputs_unchanged():
+    # add and sub build their result in a copy of a's terms, because the
+    # merge they share writes into its first argument.
+    rng = random.Random(8)
+    for fld in (F2, F3, Q, Z):
+        for g in (rose_graph(2), e4_graph(2), f1_path_graph()):
+            alg = LeavittAlgebra(g, fld)
+            monos = alg.basis_monomials(3)
+
+            def draw():
+                if fld is Z:
+                    return alg.element({monos[rng.randrange(len(monos))]: rng.randint(-4, 4)
+                                        for _ in range(4)})
+                return random_element(alg, rng)
+
+            for _ in range(20):
+                a, b = draw(), draw()
+                pairs = [(a, b), (a, a), (a, -a), (alg.zero(), b), (a, alg.zero())]
+                for x, y in pairs:
+                    x_terms, y_terms = dict(x.terms), dict(y.terms)
+                    diff = alg.sub(x, y)
+                    total = alg.add(x, y)
+                    assert diff == alg.add(x, alg.scale(fld.from_int(-1), y))
+                    assert total == alg.sub(x, alg.scale(fld.from_int(-1), y))
+                    assert x.terms == x_terms and y.terms == y_terms
+                    assert diff.terms is not x.terms and total.terms is not x.terms
+                    assert not any(fld.is_zero(c) for c in diff.terms.values())
+                    assert not any(fld.is_zero(c) for c in total.terms.values())
+            assert alg.sub(a, a) == alg.zero()
+
+
 def test_basis_dimension_e4():
     for n in (1, 2, 3):
         alg = LeavittAlgebra(e4_graph(n), Q)
@@ -165,7 +198,7 @@ def test_basis_count_matches_enumeration():
         for fld in (Q, F2):
             alg = LeavittAlgebra(g, fld)
             for w in (0, 1, 3, 5):
-                assert alg.basis_count(w) == len(alg.basis_monomials(w))
+                assert basis_count(alg, w) == len(alg.basis_monomials(w))
 
 
 def test_monomial_order_is_total_and_weight_first():

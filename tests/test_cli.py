@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from lpalab import ModeUnavailableError, cross_validate, field_from_spec
 from lpalab.cli import build_parser, main
 from helpers import e3_graph, e4_graph, f1_path_graph
 
@@ -81,6 +82,17 @@ def test_verify_exact_on_cyclic_exits_3(tmp_path, capsys):
                        "--mode", "exact")
     assert code == 3
     assert "acyclic" in err
+    # Every structure and characteristic is refused the same way, by the CLI
+    # and by the library call behind it.
+    for field in ("Q", "F2", "F3"):
+        for structure in ("lie", "jordan"):
+            code, out, err = run(capsys, "verify", "--graph", path, "--field", field,
+                                 "--mode", "exact", "--structure", structure)
+            assert (code, out) == (3, "")
+            assert err == "error: exact mode requires an acyclic materialized graph\n"
+            with pytest.raises(ModeUnavailableError):
+                cross_validate(e3_graph(), field_from_spec(field), mode="exact",
+                               structure=structure)
 
 
 def test_verify_flagged_exact_fail_exits_1(tmp_path, capsys):

@@ -180,10 +180,10 @@ def test_witness_laurent_nonsolvable():
     A1 = mat(ctx, [[ring.zero, u], [u, ring.zero]])
     B1 = mat(ctx, [[u, ring.zero], [ring.zero, ring.neg(u)]])
     X1 = mat_bracket(ctx, A1, B1)
-    m2u2 = ring.smul(Fraction(-2), ring.mul(u, u))
+    m2u2 = ring.mul(ring.monomial(0, Fraction(-2)), ring.mul(u, u))
     assert X1 == mat(ctx, [[ring.zero, m2u2], [ring.neg(m2u2), ring.zero]])
 
-    v2 = ring.smul(Fraction(4), ring.mul(u, ring.mul(u, u)))
+    v2 = ring.mul(ring.monomial(0, Fraction(4)), ring.mul(u, ring.mul(u, u)))
     assert not ring.is_zero(v2)
 
     with pytest.raises(MatrixLabError, match="u = 0"):
@@ -208,6 +208,25 @@ def test_char2_laurent_index3_sample_run():
     assert any("x^-1 + x" in n or "sharpness" in n for n in rep.notes)
     with pytest.raises(MatrixLabError, match="characteristic"):
         char2_laurent_index3_check(5, 2, 1, Q)
+
+
+def test_char2_laurent_index3_checks_each_sample_matrix_once(monkeypatch):
+    # Each sample draws eight skew matrices (A1..A4, B1..B4); the closed
+    # forms assume skewness, so each matrix is checked exactly once.
+    checked = []
+
+    def counting(ctx, A):
+        checked.append(A)
+        return is_skew(ctx, A)
+
+    monkeypatch.setattr(matrices, "is_skew", counting)
+    for samples in (1, 7):
+        checked.clear()
+        assert char2_laurent_index3_check(samples, 2, 3).ok
+        assert len(checked) == 8 * samples
+    monkeypatch.setattr(matrices, "is_skew", lambda ctx, A: False)
+    with pytest.raises(MatrixLabError, match="not skew"):
+        char2_laurent_index3_check(1, 2, 3)
 
 
 def test_char2_laurent_sharpness_diagonal():
