@@ -46,9 +46,6 @@ class Element:
         self.algebra = algebra
         self.terms = terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -156,16 +153,15 @@ class LeavittAlgebra:
     def _mono_mul(self, x: Mono, y: Mono):
         """Raw monomial product, before normal form; None means zero.
 
-        (lam mu*)(sig rho*) is lam sig'' rho* when sig extends mu, and
-        lam (rho mu'')* when mu extends sig; otherwise the ghost/real
-        boundary vertices or edges disagree and the product vanishes.
+        Precondition: the ghost boundary vertex of x (the source of mu, or
+        its anchor when mu is empty) is the real boundary vertex of y (the
+        source of sig, or its anchor when sig is empty); ``multiply`` pairs
+        only such terms.  Then (lam mu*)(sig rho*) is lam sig'' rho* when sig
+        extends mu, and lam (rho mu'')* when mu extends sig; otherwise the
+        edges disagree and the product vanishes.
         """
         lam, mu, a1 = x
         sig, rho, a2 = y
-        xr = self._src[mu[0]] if mu else a1
-        yl = self._src[sig[0]] if sig else a2
-        if xr != yl:
-            return None
         lm = len(mu)
         if len(sig) >= lm:
             if sig[:lm] != mu:
@@ -430,50 +426,24 @@ def verify_matrix_units(algebra: LeavittAlgebra, units: dict) -> list:
 def forbidden_embedding_units(algebra: LeavittAlgebra, witness) -> dict:
     """The 3x3 matrix-unit family inside the algebra for a witness structure.
 
-    For F1 (edges e: a->b, f: b->v) the family lives on the paths ending at
-    v; for F2/F3 (edges e, f into v) on the edge pair directly; for a cycle c
-    with exit f (cycle rotated to start at the exit's source) the units are
-    c^i f f* (c*)^j with 1 <= i, j <= 3.
+    Three paths p_1, p_2, p_3 end at one vertex v and none is a prefix of
+    another, so p_i* p_j = delta_ij v and the units are u_ij = p_i p_j*.
+    For F1 (edges e: a->b, f: b->v) the paths are ef, f and v; for F2/F3
+    (edges e, f into v) they are e, f and v; for a cycle c with exit f
+    (cycle rotated to start at the exit's source) they are cf, c^2 f and
+    c^3 f.
     """
-    ep = algebra.graph.edge_pos
     kind = witness.kind
-    if kind == "F1":
+    if kind in ("F1", "F2", "F3"):
         e, f = witness.edges
-        u = {
-            (1, 1): algebra.path_pair([e, f], [e, f]),
-            (2, 2): algebra.path_pair([f], [f]),
-            (3, 3): algebra.vertex(witness.vertices[2]),
-            (1, 2): algebra.path_pair([e, f], [f]),
-            (2, 1): algebra.path_pair([f], [e, f]),
-            (2, 3): algebra.path_pair([f], []),
-            (3, 2): algebra.path_pair([], [f]),
-            (1, 3): algebra.path_pair([e, f], []),
-            (3, 1): algebra.path_pair([], [e, f]),
-        }
-        return u
-    if kind in ("F2", "F3"):
-        e, f = witness.edges
-        v = witness.vertices[-1]
-        return {
-            (1, 1): algebra.path_pair([e], [e]),
-            (2, 2): algebra.path_pair([f], [f]),
-            (3, 3): algebra.vertex(v),
-            (1, 2): algebra.path_pair([e], [f]),
-            (2, 1): algebra.path_pair([f], [e]),
-            (1, 3): algebra.path_pair([e], []),
-            (3, 1): algebra.path_pair([], [e]),
-            (2, 3): algebra.path_pair([f], []),
-            (3, 2): algebra.path_pair([], [f]),
-        }
-    if kind == "CycleWithExit":
+        paths, v = ([e, f] if kind == "F1" else [e], [f], []), witness.vertices[-1]
+    elif kind == "CycleWithExit":
         cyc = list(witness.edges)
-        f = witness.exit
-        units = {}
-        for i in range(1, 4):
-            for j in range(1, 4):
-                units[(i, j)] = algebra.path_pair(cyc * i + [f], cyc * j + [f])
-        return units
-    raise AlgebraError(f"no embedding for witness kind {kind!r}")
+        paths, v = [cyc * i + [witness.exit] for i in range(1, 4)], None
+    else:
+        raise AlgebraError(f"no embedding for witness kind {kind!r}")
+    return {(i, j): algebra.path_pair(p, q, v)
+            for i, p in enumerate(paths, 1) for j, q in enumerate(paths, 1)}
 
 
 # ----------------------------------------------------------------------

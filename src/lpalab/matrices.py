@@ -4,9 +4,11 @@ recursions that decide Lie solvability degree by degree, also run inside
 path algebras as the non-solvability certificates.
 
 Matrices are tuples of tuples of ring values, manipulated through the ring
-object so the same code serves field entries and Laurent entries.  Entries
-must commute (both kinds of entry ring are commutative): the bracket kernel
-``mat_bracket`` cancels and pairs terms of AB - BA by that fact.
+object so the same code serves field entries and Laurent entries.  They are
+built from their nonzero entries {(i, j): x}, 1-indexed, by ``dense``; ``mat``
+takes a whole grid and checks its shape.  Entries must commute (both kinds of
+entry ring are commutative): the bracket kernel ``mat_bracket`` cancels and
+pairs terms of AB - BA by that fact.
 """
 
 from __future__ import annotations
@@ -43,23 +45,19 @@ def mat(ctx: MatrixRingCtx, rows) -> tuple:
     return rows
 
 
-def unit(ctx: MatrixRingCtx, i: int, j: int) -> tuple:
-    """E_ij, 1-indexed."""
-    one, zero = ctx.ring.one, ctx.ring.zero
-    return tuple(
-        tuple(one if (r, c) == (i - 1, j - 1) else zero for c in range(ctx.n))
-        for r in range(ctx.n)
-    )
+def dense(ctx: MatrixRingCtx, entries: dict) -> tuple:
+    """The matrix with the given entries {(i, j): x}, 1-indexed, and zeros
+    elsewhere."""
+    z, idx = ctx.ring.zero, range(1, ctx.n + 1)
+    return tuple(tuple(entries.get((i, j), z) for j in idx) for i in idx)
 
 
-def mat_add(ctx, A, B):
-    add = ctx.ring.add
-    return tuple(tuple(add(A[i][j], B[i][j]) for j in range(ctx.n)) for i in range(ctx.n))
-
-
-def mat_sub(ctx, A, B):
-    sub = ctx.ring.sub
-    return tuple(tuple(sub(A[i][j], B[i][j]) for j in range(ctx.n)) for i in range(ctx.n))
+def _skew(ring, entries: dict) -> dict:
+    """x at (i, j) and -x at (j, i) for each entry."""
+    out = {}
+    for (i, j), x in entries.items():
+        out[(i, j)], out[(j, i)] = x, ring.neg(x)
+    return out
 
 
 def mat_bracket(ctx, A, B):
@@ -123,18 +121,13 @@ def skew_matrix_basis(ctx: MatrixRingCtx, degree_bound: int = 0) -> list:
     magnitude <= degree_bound.
     """
     ring = ctx.ring
-    out = []
     if not isinstance(ring, LaurentRing):
-        char2 = ring.characteristic == 2
-        for i in range(1, ctx.n + 1):
-            for j in range(i + 1, ctx.n + 1):
-                off = unit(ctx, i, j)
-                mirrored = unit(ctx, j, i)
-                out.append(mat_add(ctx, off, mirrored) if char2 else mat_sub(ctx, off, mirrored))
-        if char2:
-            for i in range(1, ctx.n + 1):
-                out.append(unit(ctx, i, i))
+        idx = range(1, ctx.n + 1)
+        out = [dense(ctx, _skew(ring, {(i, j): ring.one})) for i in idx for j in idx if i < j]
+        if ring.characteristic == 2:
+            out += [dense(ctx, {(i, i): ring.one}) for i in idx]
         return out
+    out = []
     if ctx.n != 2:
         raise MatrixLabError("laurent skew basis implemented for degree 2 only")
     char2 = ring.characteristic == 2
@@ -147,11 +140,11 @@ def skew_matrix_basis(ctx: MatrixRingCtx, degree_bound: int = 0) -> list:
         for k in range(1, degree_bound + 1):
             skew_scalars.append(ring.sub(ring.monomial(k), ring.monomial(-k)))
     for s in skew_scalars:
-        out.append(mat(ctx, [[s, ring.zero], [ring.zero, ring.zero]]))
-        out.append(mat(ctx, [[ring.zero, ring.zero], [ring.zero, s]]))
+        out.append(dense(ctx, {(1, 1): s}))
+        out.append(dense(ctx, {(2, 2): s}))
     for k in range(-degree_bound, degree_bound + 1):
         b = ring.monomial(k)
-        out.append(mat(ctx, [[ring.zero, b], [ring.neg(ring.involute(b)), ring.zero]]))
+        out.append(dense(ctx, {(1, 2): b, (2, 1): ring.neg(ring.involute(b))}))
     return out
 
 
@@ -184,14 +177,6 @@ class MatrixReport:
 
 # ----------------------------------------------------------------------
 # the A/B/X witness recursion and its certificates in path algebras
-
-
-def _skew(ring, entries: dict) -> dict:
-    """x at (i, j) and -x at (j, i) for each entry."""
-    out = {}
-    for (i, j), x in entries.items():
-        out[(i, j)], out[(j, i)] = x, ring.neg(x)
-    return out
 
 
 def field_closed_forms(ring, a, b, c):
@@ -255,13 +240,9 @@ def bracket_recursion(bracket, embed, forms, steps: int):
 def _matrix_recursion(ctx: MatrixRingCtx, rep: MatrixReport, forms, steps: int) -> list:
     """bracket_recursion in the matrix ring, with its failures and the
     skewness of every A, B, X recorded in ``rep``."""
-    z, idx = ctx.ring.zero, range(1, ctx.n + 1)
-
-    def dense(M):
-        return tuple(tuple(M.get((i, j), z) for j in idx) for i in idx)
-
     # Looked up per call: a wrapper put on the module attribute sees every bracket.
-    chain, failures = bracket_recursion(lambda P, Q: mat_bracket(ctx, P, Q), dense, forms, steps)
+    chain, failures = bracket_recursion(lambda P, Q: mat_bracket(ctx, P, Q),
+                                        lambda M: dense(ctx, M), forms, steps)
     rep.failures.extend(failures)
     for m, step in enumerate(chain, 1):
         for name, M in zip("ABX", step):
@@ -301,8 +282,8 @@ def witness_nilpotent_char2(ring, steps: int) -> MatrixReport:
     if ring.characteristic != 2:
         raise MatrixLabError("wrong characteristic: need 2")
     ctx = MatrixRingCtx(2, ring)
-    A = mat_add(ctx, unit(ctx, 1, 2), unit(ctx, 2, 1))
-    B = unit(ctx, 1, 1)
+    A = dense(ctx, {(1, 2): ring.one, (2, 1): ring.one})
+    B = dense(ctx, {(1, 1): ring.one})
     rep = MatrixReport("prop3b", {"steps": steps})
     for name, M in (("A", A), ("B", B)):
         if not is_skew(ctx, M):
@@ -530,15 +511,11 @@ def mat_to_vec(ctx: MatrixRingCtx, A) -> dict:
 
 def vec_to_mat(ctx: MatrixRingCtx, vec: dict):
     if not isinstance(ctx.ring, LaurentRing):
-        rows = [[ctx.ring.zero] * ctx.n for _ in range(ctx.n)]
-        for (i, j), c in vec.items():
-            rows[i][j] = c
-    else:
-        # A fresh dict per cell, filled in place; ring.zero is one shared dict.
-        rows = [[{} for _ in range(ctx.n)] for _ in range(ctx.n)]
-        for (i, j, e), c in vec.items():
-            rows[i][j][e] = c
-    return mat(ctx, rows)
+        return dense(ctx, {(i + 1, j + 1): c for (i, j), c in vec.items()})
+    cells: dict = {}
+    for (i, j, e), c in vec.items():
+        cells.setdefault((i + 1, j + 1), {})[e] = c
+    return dense(ctx, cells)
 
 
 def matrix_span(ctx: MatrixRingCtx, matrices) -> Subspace:

@@ -48,8 +48,6 @@ def _is_prime(p: int) -> bool:
 class PrimeField:
     """F_p with residues kept canonical in [0, p)."""
 
-    kind = "prime"
-
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ScalarError(f"not a prime: {p}")
@@ -117,8 +115,6 @@ class PrimeField:
 
 class RationalField:
     """Q with elements represented as Fraction (always reduced)."""
-
-    kind = "rational"
 
     def __init__(self):
         self.characteristic = 0
@@ -225,8 +221,6 @@ class LaurentRing:
     Values are sparse dicts {exponent: nonzero coefficient}.  All methods
     return fresh canonical dicts; inputs are never mutated.
     """
-
-    kind = "laurent"
 
     def __init__(self, field):
         self.field = field

@@ -314,7 +314,7 @@ def test_criterion_10_exhaustive_small_graph_consistency():
                     else:
                         comp, p, cyc = _corner_plan(verdict)
                         chain = laurent_corner_certificate(comp, fld, p, cyc, 3)
-                    if any(x.is_zero() for x in chain):
+                    if any(not x for x in chain):
                         bad.append((nv, edges, fld.characteristic, "zero in chain", None))
                 except Exception as exc:  # noqa: BLE001 - report, do not mask
                     bad.append((nv, edges, fld.characteristic, f"error {exc}", None))

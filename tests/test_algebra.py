@@ -1,6 +1,7 @@
 """Normal form, multiplication, involution, bracket/circle, generator sets,
 and matrix-unit verification."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from lpalab import (
     find_cycle_with_exit,
     find_forbidden_subgraph,
     forbidden_embedding_units,
+    graph_from_lists,
     solvability_probe,
     verify_matrix_units,
 )
@@ -77,8 +79,8 @@ def test_multiply_ck1():
 
 def test_multiply_kronecker_zero():
     alg = LeavittAlgebra(e4_graph(2), Q)
-    assert alg.multiply(alg.ghost("e1"), alg.edge("e2")).is_zero()
-    assert alg.multiply(alg.edge("e1"), alg.ghost("e2")).is_zero()
+    assert not alg.multiply(alg.ghost("e1"), alg.edge("e2"))
+    assert not alg.multiply(alg.edge("e1"), alg.ghost("e2"))
 
 
 def test_vertices_are_local_units():
@@ -86,7 +88,7 @@ def test_vertices_are_local_units():
     u, e1 = alg.vertex("u"), alg.edge("e1")
     assert alg.multiply(u, e1) == e1
     assert alg.multiply(e1, alg.vertex("u1")) == e1
-    assert alg.multiply(alg.vertex("u1"), e1).is_zero()
+    assert not alg.multiply(alg.vertex("u1"), e1)
 
 
 def test_associativity_random():
@@ -124,7 +126,7 @@ def test_involution_laws_random():
 
 def test_bracket_examples():
     alg = LeavittAlgebra(e2_graph(), Q)
-    assert alg.bracket(alg.edge("c"), alg.ghost("c")).is_zero()
+    assert not alg.bracket(alg.edge("c"), alg.ghost("c"))
 
     flagged = LeavittAlgebra(e4_graph(1, flagged=True), Q)
     x = flagged.edge("e1") - flagged.ghost("e1")
@@ -134,7 +136,7 @@ def test_bracket_examples():
     rng = random.Random(17)
     for _ in range(50):
         z = random_element(alg, rng)
-        assert alg.bracket(z, z).is_zero()
+        assert not alg.bracket(z, z)
 
 
 def test_circle_examples():
@@ -143,7 +145,7 @@ def test_circle_examples():
     assert alg.circle(v, v) == alg.scale(Q.from_int(2), v)
 
     a4 = LeavittAlgebra(e4_graph(2), Q)
-    assert a4.circle(a4.edge("e1"), a4.edge("e2")).is_zero()
+    assert not a4.circle(a4.edge("e1"), a4.edge("e2"))
 
     f2alg = LeavittAlgebra(rose_graph(2), F2)
     rng = random.Random(19)
@@ -254,6 +256,29 @@ def test_generators_satisfy_involution_signs():
                 assert alg.involute(x) == x
 
 
+def _first_witness_graphs(rng, per_kind):
+    """Seeded random graphs of 2-5 vertices, ``per_kind`` for each kind of
+    first witness (a cycle with exit before F1/F2/F3, as classify picks)."""
+    found = {kind: [] for kind in ("CycleWithExit", "F1", "F2", "F3")}
+    while any(len(gs) < per_kind for gs in found.values()):
+        vs = [f"v{i}" for i in range(rng.randint(2, 5))]
+        es = [(f"e{k}", rng.choice(vs), rng.choice(vs)) for k in range(rng.randint(1, 6))]
+        g = graph_from_lists(vs, es)
+        w = find_cycle_with_exit(g) or find_forbidden_subgraph(g)
+        if w is not None and len(found[w.kind]) < per_kind:
+            found[w.kind].append((g, w))
+    return [gw for gs in found.values() for gw in gs]
+
+
+# sha256 over every family's sorted terms, recorded from the per-kind
+# hand-written unit tables that the u_ij = p_i p_j* rule replaced.
+_UNIT_FAMILY_DIGESTS = {
+    "F2": "e69a7fcdc8ec2d93f79e33719c93e207b771bef5661e233d92ef97c121c7c7e0",
+    "F3": "36c172262eeff942124e9cb7d8f8b36a4f287ce475384ce2d8c0980d804ef54c",
+    "Q": "94a6ca3c75f469b32169efbf3964f221f0306b6cf9275540a306320dd1a2cb48",
+}
+
+
 def test_verify_matrix_units_rose_and_hosts():
     for g, fld in ((rose_graph(2), Q), (rose_graph(2), F2)):
         alg = LeavittAlgebra(g, fld)
@@ -265,6 +290,17 @@ def test_verify_matrix_units_rose_and_hosts():
         w = find_forbidden_subgraph(g)
         units = forbidden_embedding_units(alg, w)
         assert verify_matrix_units(alg, units) == []
+    graphs = _first_witness_graphs(random.Random(29), 6)
+    for spec, digest in _UNIT_FAMILY_DIGESTS.items():
+        fld = field_from_spec(spec)
+        h = hashlib.sha256()
+        for g, w in graphs:
+            alg = LeavittAlgebra(g, fld)
+            units = forbidden_embedding_units(alg, w)
+            assert verify_matrix_units(alg, units) == [], (spec, w)
+            h.update(repr(sorted((ij, sorted(u.terms.items()))
+                                 for ij, u in units.items())).encode())
+        assert h.hexdigest() == digest, spec
 
 
 def test_verify_matrix_units_negative_control():
