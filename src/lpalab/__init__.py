@@ -53,10 +53,8 @@ from .series import (
     SeriesError,
     SeriesReport,
     Subspace,
-    derived_series,
     element_pair_op,
     element_subspace,
-    lower_central_series,
     product_span,
     solvability_probe,
 )

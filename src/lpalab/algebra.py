@@ -219,9 +219,7 @@ class LeavittAlgebra:
             anchor = self.graph.vertex_pos[anchor_id]
         else:
             raise AlgebraError("vertex monomial needs an anchor id")
-        m = (lam, nu, anchor)
-        self.check_mono(m)
-        return self.element({m: self.field.one})
+        return self.element({(lam, nu, anchor): self.field.one})
 
     # ------------------------------------------------------------------
     # arithmetic

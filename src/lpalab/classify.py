@@ -173,17 +173,18 @@ def cross_validate(g: Graph, fld, mode: str = "auto", weight: int = 6,
     if mode == "auto":
         mode = "exact" if is_acyclic(g) else "truncated"
     notes = []
-    if structure == "jordan" and fld.characteristic != 2:
-        # No classified Jordan prediction away from characteristic 2: the
-        # probe is informational, never a contradiction.
-        probe = solvability_probe(g, fld, structure, mode, weight=weight,
-                                  max_depth=depth if mode != "truncated" else (depth or 3))
+    # No classified Jordan prediction away from characteristic 2: the probe
+    # is informational, never a contradiction.
+    unclassified = structure == "jordan" and fld.characteristic != 2
+    predicted = verdict.lie_index if verdict.lie_solvable and not unclassified else None
+    if mode == "truncated" and depth is None:
+        depth = predicted + 1 if predicted is not None else 3
+    probe = solvability_probe(g, fld, structure, mode, weight=weight, max_depth=depth)
+    if unclassified:
         notes.append("Jordan solvability is not classified for this characteristic; "
                      "probe reported without comparison")
         return CrossReport(status="CONSISTENT", verdict=verdict, probe=probe, notes=notes)
-    predicted = verdict.lie_index if verdict.lie_solvable else None
     if mode == "exact":
-        probe = solvability_probe(g, fld, structure, "exact", max_depth=depth)
         if verdict.lie_solvable:
             if probe.vanished_at == predicted:
                 status = "AGREE"
@@ -204,10 +205,6 @@ def cross_validate(g: Graph, fld, mode: str = "auto", weight: int = 6,
                     f"{probe.vanished_at}"
                 )
     else:
-        if depth is None:
-            depth = predicted + 1 if predicted is not None else 3
-        probe = solvability_probe(g, fld, structure, "truncated", weight=weight,
-                                  max_depth=depth)
         if predicted is not None:
             bad = [k for k, d in enumerate(probe.dims) if k >= predicted and d > 0]
             if bad:

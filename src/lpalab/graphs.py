@@ -99,8 +99,6 @@ def validate_graph(raw) -> Graph:
     {"id": ..., "src": ..., "dst": ...}.  Array order is preserved and
     semantically significant.
     """
-    if isinstance(raw, Graph):
-        raw = raw.to_json_obj()
     if not isinstance(raw, dict):
         raise GraphError("graph description must be a JSON object")
     vs = raw.get("vertices", [])

@@ -18,7 +18,7 @@ import random
 from .algebra import LeavittAlgebra, corner_embedding, forbidden_embedding_units, unit_embedding
 from .graphs import Graph
 from .scalars import LaurentRing
-from .series import SeriesError, Subspace, derived_series, lower_central_series
+from .series import SeriesError, Subspace, _run_series
 
 
 class MatrixLabError(ValueError):
@@ -540,19 +540,24 @@ def corollary_field_check(fld, depth: int = 10) -> MatrixReport:
     S0 = matrix_span(ctx, skew_matrix_basis(ctx))
     op = matrix_pair_op(ctx)
     rep = MatrixReport("cor-field", {"field": repr(fld), "depth": depth})
-    der = derived_series(S0, op, depth)
+    dims, vanished, _, _ = _run_series(S0, op, depth)
     if fld.characteristic != 2:
-        if der.vanished_at != 1:
-            rep.failures.append(f"expected the skew part to be abelian, dims {der.dims}")
+        if vanished != 1:
+            rep.failures.append(f"expected the skew part to be abelian, dims {dims}")
     else:
-        if der.vanished_at != 2:
-            rep.failures.append(f"expected solvability index 2, dims {der.dims}")
-        low = lower_central_series(S0, op, depth)
-        if low.vanished_at is not None or not all(d > 0 for d in low.dims):
-            rep.failures.append(f"lower central series died, dims {low.dims}")
+        if vanished != 2:
+            rep.failures.append(f"expected solvability index 2, dims {dims}")
+        _check_lower_central_lives(rep, S0, op, depth)
     rep.steps_checked = depth
-    rep.notes.append(f"derived dims: {der.dims}")
+    rep.notes.append(f"derived dims: {dims}")
     return rep
+
+
+def _check_lower_central_lives(rep: MatrixReport, S0: Subspace, op, depth: int) -> None:
+    """Record a failure unless the lower central series stays nonzero."""
+    dims, vanished, _, _ = _run_series(S0, op, depth, lower_central=True)
+    if vanished is not None or not all(dims):
+        rep.failures.append(f"lower central series died, dims {dims}")
 
 
 def corollary_laurent_check(fld, degree_bound: int = 2, depth: int = 8) -> MatrixReport:
@@ -566,22 +571,20 @@ def corollary_laurent_check(fld, degree_bound: int = 2, depth: int = 8) -> Matri
     rep = MatrixReport("cor-laurent", {"field": repr(fld), "degree_bound": degree_bound,
                                        "depth": depth})
     if fld.characteristic == 2:
-        der = derived_series(S0, op, depth)
-        if der.vanished_at != 3:
-            rep.failures.append(f"expected solvability index 3, dims {der.dims}")
-        low = lower_central_series(S0, op, depth)
-        if low.vanished_at is not None or not all(d > 0 for d in low.dims):
-            rep.failures.append(f"lower central series died, dims {low.dims}")
+        dims, vanished, _, _ = _run_series(S0, op, depth)
+        if vanished != 3:
+            rep.failures.append(f"expected solvability index 3, dims {dims}")
+        _check_lower_central_lives(rep, S0, op, depth)
     else:
         # Entry degrees double per derived step; keep the span probe shallow
         # and let the witness recursion carry the depth.
-        der = derived_series(S0, op, min(depth, 4))
-        if der.vanished_at is not None:
-            rep.failures.append(f"derived series vanished at {der.vanished_at}; "
+        dims, vanished, _, _ = _run_series(S0, op, min(depth, 4))
+        if vanished is not None:
+            rep.failures.append(f"derived series vanished at {vanished}; "
                                 "the degree-bounded span should stay nonzero")
         u = ring.sub(ring.x(), ring.x_inv())
         inner = witness_laurent_nonsolvable(ring, u, max(depth, 6))
         rep.failures.extend(f"witness: {f}" for f in inner.failures)
     rep.steps_checked = depth
-    rep.notes.append(f"derived dims: {der.dims}")
+    rep.notes.append(f"derived dims: {dims}")
     return rep

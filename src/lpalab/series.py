@@ -1,5 +1,6 @@
 """Exact sparse linear algebra over ordered coordinate keys, and the derived /
-lower central series built on it.
+lower central series built on it: one loop, ``_run_series``, runs every
+series, and one report, ``SeriesReport``, carries a probe and sets its caveat.
 
 A Subspace is a canonical reduced echelon basis: rows are sparse dicts
 {key: coefficient}, the pivot of each row is its least key under the supplied
@@ -185,16 +186,22 @@ class SeriesReport:
     """
 
     def __init__(self, kind: str, mode: str, dims: list, vanished_at: Optional[int] = None,
-                 witness_text: Optional[str] = None, caveat: Optional[str] = None,
-                 stabilized: bool = False, weight: Optional[int] = None):
+                 witness_text: Optional[str] = None, stabilized: bool = False,
+                 weight: Optional[int] = None):
         self.kind = kind
         self.mode = mode
         self.dims = dims
         self.vanished_at = vanished_at
         self.witness_text = witness_text
-        self.caveat = caveat
         self.stabilized = stabilized
         self.weight = weight
+        self.caveat = None
+        if mode.startswith("truncated"):
+            self.caveat = "truncated computation: " + (
+                "a vanishing step bounds nothing; nonzero steps are sound"
+                if vanished_at is not None else "nonzero steps are sound lower-bound evidence")
+        elif stabilized:
+            self.caveat = "series reached a fixed nonzero subspace; it never vanishes"
 
     def to_json_obj(self) -> dict:
         return {
@@ -207,9 +214,11 @@ class SeriesReport:
         }
 
 
-def _run_series(S0: Subspace, pair_op: Callable, max_depth, lower_central: bool,
-                symmetric_op: bool) -> tuple:
-    """Shared driver; returns (dims, vanished_at, witness_row, stabilized).
+def _run_series(S0: Subspace, pair_op: Callable, max_depth, lower_central: bool = False,
+                symmetric_op: bool = False) -> tuple:
+    """The one series loop: derived steps S_{k+1} = [S_k, S_k], or lower
+    central steps S_{k+1} = [S_k, S_0]; returns (dims, vanished_at,
+    witness_row, stabilized), the row None exactly when S0 is zero.
 
     max_depth None means run until the series vanishes or stabilizes; that is
     guaranteed to happen within dim(S0) + 1 steps whenever S0 is closed under
@@ -240,41 +249,6 @@ def _run_series(S0: Subspace, pair_op: Callable, max_depth, lower_central: bool,
     return dims, None, witness, stabilized
 
 
-def derived_series(S0: Subspace, pair_op: Callable, max_depth: int,
-                   kind: str = "derived", mode: str = "exact",
-                   symmetric_op: bool = False, format_row: Callable = None,
-                   weight: int = None) -> SeriesReport:
-    """Iterate S_{k+1} = [S_k, S_k] until zero, stabilization, or max_depth."""
-    dims, vanished, witness, stabilized = _run_series(S0, pair_op, max_depth, False, symmetric_op)
-    return _report(kind, mode, dims, vanished, witness, stabilized, format_row, weight)
-
-
-def lower_central_series(S0: Subspace, pair_op: Callable, max_depth: int,
-                         kind: str = "lower_central", mode: str = "exact",
-                         symmetric_op: bool = False, format_row: Callable = None,
-                         weight: int = None) -> SeriesReport:
-    """Iterate S_{k+1} = [S_k, S_0] until zero or max_depth."""
-    dims, vanished, witness, stabilized = _run_series(S0, pair_op, max_depth, True, symmetric_op)
-    return _report(kind, mode, dims, vanished, witness, stabilized, format_row, weight)
-
-
-def _report(kind, mode, dims, vanished, witness, stabilized, format_row, weight):
-    caveat = None
-    if mode.startswith("truncated"):
-        if vanished is not None:
-            caveat = "truncated computation: a vanishing step bounds nothing; nonzero steps are sound"
-        else:
-            caveat = "truncated computation: nonzero steps are sound lower-bound evidence"
-    elif stabilized:
-        caveat = "series reached a fixed nonzero subspace; it never vanishes"
-    text = None
-    if witness is not None and vanished != 0 and format_row is not None:
-        text = format_row(witness)
-    return SeriesReport(kind=kind, mode=mode, dims=dims, vanished_at=vanished,
-                        witness_text=text, caveat=caveat, stabilized=stabilized,
-                        weight=weight)
-
-
 # ----------------------------------------------------------------------
 # path-algebra front end
 
@@ -283,24 +257,17 @@ def element_subspace(algebra: LeavittAlgebra, elements) -> Subspace:
     """Canonical span of path-algebra elements (rows are term dicts)."""
     s = Subspace(algebra.field, mono_order_key)
     for el in elements:
-        if isinstance(el, Element):
-            algebra._require_context(el)
-            s.insert(el.terms)
-        else:
-            s.insert(el)
+        algebra._require_context(el)
+        s.insert(el.terms)
     return s
 
 
-def element_pair_op(algebra: LeavittAlgebra, op: str) -> Callable:
-    if op == "bracket":
-        fn = algebra.bracket
-    elif op == "circle":
-        fn = algebra.circle
-    else:
-        raise SeriesError(f"unknown subspace product: {op!r}")
+def element_pair_op(product: Callable) -> Callable:
+    """Row-level form of a bound ``algebra.bracket`` or ``algebra.circle``."""
+    algebra = product.__self__
 
     def dict_op(a: dict, b: dict) -> dict:
-        return fn(Element(algebra, a), Element(algebra, b)).terms
+        return product(Element(algebra, a), Element(algebra, b)).terms
 
     return dict_op
 
@@ -341,25 +308,17 @@ def solvability_probe(graph: Graph, fld, structure: str = "lie", mode: str = "ex
     else:
         raise SeriesError(f"unknown mode: {mode!r}")
     if structure == "lie":
-        gens = algebra.skew_generators(bound)
-        op = "bracket"
+        gens, product = algebra.skew_generators(bound), algebra.bracket
     else:
-        gens = algebra.symmetric_generators(bound)
-        op = "circle"
-    S0 = element_subspace(algebra, gens)
-
-    def fmt(row):
+        gens, product = algebra.symmetric_generators(bound), algebra.circle
+    dims, vanished, witness, stabilized = _run_series(
+        element_subspace(algebra, gens), element_pair_op(product), max_depth,
+        symmetric_op=structure == "jordan")
+    text = None
+    if witness is not None:
         if rational:
-            d = row[min(row, key=mono_order_key)]
-            row = {k: Fraction(c, d) for k, c in row.items()}
-        return format_element(Element(algebra, row))
-    return derived_series(
-        S0,
-        element_pair_op(algebra, op),
-        max_depth,
-        kind="derived" if structure == "lie" else "jordan_derived",
-        mode=mode,
-        symmetric_op=(op == "circle"),
-        format_row=fmt,
-        weight=used_weight,
-    )
+            d = witness[min(witness, key=mono_order_key)]
+            witness = {k: Fraction(c, d) for k, c in witness.items()}
+        text = format_element(Element(algebra, witness))
+    return SeriesReport("derived" if structure == "lie" else "jordan_derived", mode, dims,
+                        vanished, text, stabilized, used_weight)

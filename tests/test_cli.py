@@ -348,3 +348,34 @@ def test_verify_q_golden_stdout(tmp_path, capsys, name, argv, digest):
     code, out, err = run(capsys, "verify", "--graph", path, "--field", "Q", *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of the exact stdout of `lpalab verify`, with its exit code, for every
+# route through cross_validate that no other pin covers: truncated depth
+# defaults with and without a predicted index, the Jordan structure in and
+# away from characteristic 2, and an exact disagreement.
+VERIFY_ROUTE_GOLDEN = [
+    ("e3", ("--field", "F2", "--mode", "truncated"), 0,
+     "573c7731099f2b6825b29c793ea963e1050b83389d415486eb814eb8fd70eecf"),
+    ("e3", ("--field", "Q", "--mode", "truncated"), 0,
+     "c9cfb8f18cd350ea6299d5e362d4bf6261b7f442a44f409a26775f60f9680136"),
+    ("e4", ("--field", "F2", "--mode", "exact", "--structure", "jordan"), 0,
+     "96e06855eb11928ba233ef9ac0c4d0b54c2280f977a2736625d6d00f178fb913"),
+    ("e4", ("--field", "F3", "--mode", "exact", "--structure", "jordan"), 0,
+     "f1bf1eca22ad6640f1c8de6572398987872c15d01875537b02798885057be351"),
+    ("e3", ("--field", "Q", "--mode", "truncated", "--structure", "jordan"), 0,
+     "169d2cef723cb13742c57abbd7c70e5e984f147fa9bfd0d2ace97d850af63fbd"),
+    ("e4inf", ("--field", "F2", "--mode", "exact"), 1,
+     "00128195a04c1be644993cc45c2b0d46416215f1c9d80fb11021f68d293fc0d3"),
+]
+
+
+@pytest.mark.parametrize("name,argv,code,digest", VERIFY_ROUTE_GOLDEN,
+                         ids=[f"{name} {' '.join(argv)}"
+                              for name, argv, _, _ in VERIFY_ROUTE_GOLDEN])
+def test_verify_route_golden_stdout(tmp_path, capsys, name, argv, code, digest):
+    graph = {"e3": e3_graph(), "e4": e4_graph(2), "e4inf": e4_graph(2, flagged=True)}[name]
+    path = write_graph(tmp_path, f"{name}.json", graph)
+    got_code, out, err = run(capsys, "verify", "--graph", path, *argv)
+    assert (got_code, err) == (code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -12,9 +12,9 @@ from lpalab import (
     LeavittAlgebra,
     ModeUnavailableError,
     SeriesError,
+    SeriesReport,
     Subspace,
     cross_validate,
-    derived_series,
     element_pair_op,
     element_subspace,
     field_from_spec,
@@ -22,13 +22,13 @@ from lpalab import (
     find_forbidden_subgraph,
     format_element,
     graph_from_lists,
-    lower_central_series,
     solvability_probe,
     validate_graph,
 )
 from lpalab.algebra import mono_order_key
 from lpalab.matrices import laurent_corner_certificate, nonsolvability_certificate
 from lpalab.scalars import Z
+from lpalab.series import _run_series
 from helpers import (
     e1_graph,
     e2_graph,
@@ -194,7 +194,7 @@ def test_product_span_examples():
     from lpalab import product_span
 
     S = element_subspace(alg, alg.skew_generators(2))
-    op = element_pair_op(alg, "bracket")
+    op = element_pair_op(alg.bracket)
     assert product_span(S, S, op, same=True).dim == 0
 
     zero = element_subspace(alg, [])
@@ -204,8 +204,8 @@ def test_product_span_examples():
     rng = random.Random(23)
     rows = [random_element(f2alg, rng) for _ in range(4)]
     S2 = element_subspace(f2alg, rows)
-    br = element_pair_op(f2alg, "bracket")
-    ci = element_pair_op(f2alg, "circle")
+    br = element_pair_op(f2alg.bracket)
+    ci = element_pair_op(f2alg.circle)
     assert product_span(S2, S2, br, same=True) == product_span(S2, S2, ci, same=True,
                                                                symmetric=True)
 
@@ -228,8 +228,8 @@ def test_exact_mode_dims_non_increasing():
 def test_derived_series_zero_start():
     alg = LeavittAlgebra(e1_graph(), Q)
     S0 = element_subspace(alg, [])
-    rep = derived_series(S0, element_pair_op(alg, "bracket"), 5)
-    assert rep.vanished_at == 0 and rep.dims == [0]
+    dims, vanished, _, _ = _run_series(S0, element_pair_op(alg.bracket), 5)
+    assert vanished == 0 and dims == [0]
 
 
 def test_flagged_e4_derived_series_against_bruteforce_oracle():
@@ -330,20 +330,21 @@ def test_lower_central_flagged_witness():
         assert t
 
     S0 = element_subspace(alg, [x, u])
-    rep = lower_central_series(S0, element_pair_op(alg, "bracket"), 10)
-    assert rep.vanished_at is None
-    assert all(d > 0 for d in rep.dims)
+    dims, vanished, _, _ = _run_series(S0, element_pair_op(alg.bracket), 10,
+                                       lower_central=True)
+    assert vanished is None
+    assert all(d > 0 for d in dims)
 
 
 def test_lower_central_commutative_vanishes():
     alg = LeavittAlgebra(e2_graph(), Q)
     S0 = element_subspace(alg, alg.skew_generators(6))
-    rep = lower_central_series(S0, element_pair_op(alg, "bracket"), 5)
-    assert rep.vanished_at == 1
+    _, vanished, _, _ = _run_series(S0, element_pair_op(alg.bracket), 5, lower_central=True)
+    assert vanished == 1
 
     zero = element_subspace(alg, [])
-    rep = lower_central_series(zero, element_pair_op(alg, "bracket"), 5)
-    assert rep.vanished_at == 0
+    _, vanished, _, _ = _run_series(zero, element_pair_op(alg.bracket), 5, lower_central=True)
+    assert vanished == 0
 
 
 def test_probe_e3_char2_vanishes_exactly_at_3():
@@ -412,17 +413,17 @@ def _reference_probe(g, structure, mode, weight, max_depth):
     alg = LeavittAlgebra(g, Q)
     bound = 2 * alg.longest_path_length() if mode == "exact" else weight
     if structure == "lie":
-        gens, op = alg.skew_generators(bound), "bracket"
+        gens, op = alg.skew_generators(bound), alg.bracket
     else:
-        gens, op = alg.symmetric_generators(bound), "circle"
+        gens, op = alg.symmetric_generators(bound), alg.circle
     S0 = element_subspace(alg, gens)
     assert S0.field is Q
-    return derived_series(
-        S0, element_pair_op(alg, op), max_depth,
-        kind="derived" if structure == "lie" else "jordan_derived", mode=mode,
-        symmetric_op=op == "circle",
-        format_row=lambda row: format_element(Element(alg, row)),
-        weight=None if mode == "exact" else weight,
+    dims, vanished, witness, stabilized = _run_series(
+        S0, element_pair_op(op), max_depth, symmetric_op=structure == "jordan")
+    return SeriesReport(
+        "derived" if structure == "lie" else "jordan_derived", mode, dims, vanished,
+        None if witness is None else format_element(Element(alg, witness)), stabilized,
+        None if mode == "exact" else weight,
     )
 
 
@@ -545,3 +546,18 @@ def test_generic_subspace_over_plain_keys():
     assert s.insert({(1,): Fraction(1), (0,): Fraction(1)})
     assert s.dim == 2
     assert not s.reduce({(0,): Fraction(7), (1,): Fraction(7)})
+
+
+@pytest.mark.parametrize("mode, vanished_at, stabilized, caveat", [
+    ("truncated", 3, False,
+     "truncated computation: a vanishing step bounds nothing; nonzero steps are sound"),
+    ("truncated", None, False,
+     "truncated computation: nonzero steps are sound lower-bound evidence"),
+    ("exact", None, True, "series reached a fixed nonzero subspace; it never vanishes"),
+    ("exact", 2, False, None),
+])
+def test_series_report_sets_its_caveat(mode, vanished_at, stabilized, caveat):
+    # The caveat is fixed by the mode and the result; no caller passes one.
+    rep = SeriesReport("derived", mode, [4, 2], vanished_at, None, stabilized)
+    assert rep.caveat == caveat
+    assert rep.to_json_obj()["caveat"] == caveat
