@@ -112,7 +112,7 @@ def _cmd_matrix(args) -> int:
     if case == "prop3a":
         ctx = MatrixRingCtx(args.n, fld)
         rep = witness_nge3(ctx, fld.parse(args.a), fld.parse(args.b), fld.parse(args.c),
-                           args.steps if args.steps is not None else 20)
+                           args.steps if args.steps is not None else 14)
     elif case == "prop3b":
         rep = witness_nilpotent_char2(fld, args.steps if args.steps is not None else 10)
     elif case == "prop3c-upper":

@@ -17,7 +17,7 @@ import random
 
 from .algebra import LeavittAlgebra, corner_embedding, forbidden_embedding_units, unit_embedding
 from .graphs import Graph
-from .scalars import LaurentRing
+from .scalars import F2LaurentRing, LaurentRing
 from .series import SeriesError, Subspace, _run_series
 
 
@@ -407,6 +407,10 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
                                base_field=None) -> MatrixReport:
     """Characteristic-2 solvability bound with sharpness, over F2[x, x^-1].
 
+    The entries live in ``F2LaurentRing``, F2[x, x^-1] packed into bit
+    masks.  Each random coefficient is one ``rng.randrange(2)`` draw in
+    exponent order, so a seed gives the samples the dict ring drew.
+
     Upper bound: for seeded random skew 8-tuples, the first-level brackets
     X_i have the closed form [[r_i, s_i], [-s_i~, -r_i]], the second-level
     brackets [X1, X2] and [X3, X4] are diagonal with the expanded entry, and
@@ -418,7 +422,7 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
     fld = base_field or field_from_spec("F2")
     if fld.characteristic != 2:
         raise MatrixLabError("wrong characteristic: need 2")
-    ring = LaurentRing(fld)
+    ring = F2LaurentRing()
     ctx = MatrixRingCtx(2, ring)
     rng = random.Random(seed)
     rep = MatrixReport("prop3c-upper", {"samples": samples, "degree_bound": degree_bound,
@@ -429,12 +433,11 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
     )
 
     def rand_poly():
-        out = {}
-        for e in range(-degree_bound, degree_bound + 1):
-            c = rng.randrange(fld.p)
-            if c:
-                out[e] = c
-        return out
+        bits = 0
+        for i in range(2 * degree_bound + 1):
+            if rng.randrange(2):
+                bits |= 1 << i
+        return ring.from_bits(-degree_bound, bits)
 
     def rand_skew_scalar():
         h = rand_poly()

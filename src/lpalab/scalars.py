@@ -13,6 +13,12 @@ coefficients into integers over one common denominator, the product
 accumulates integer multiply-adds per exponent, and the field reduces each
 exponent once at the end.
 
+``F2LaurentRing`` is F2[x, x^-1] packed into bits, for the
+characteristic-2 index-3 check: in characteristic 2 addition is XOR and the
+product is carry-less, so a value is one (lowest exponent, odd bit mask)
+pair, a sum one XOR, and a product one XOR of shifted masks per set bit.
+Everything that reads exponent-coefficient pairs keeps the dict ring.
+
 ``Z`` is the ring of integers, for path-algebra work over Q without
 fractions: the skew and symmetric generators have coefficients +-1, so every
 product of integer combinations is again integral, and integer echelon rows
@@ -320,4 +326,90 @@ class LaurentRing:
                 parts.append(f"x^{e}" if e != 1 else "x")
             else:
                 parts.append(f"{cs}*x^{e}" if e != 1 else f"{cs}*x")
+        return " + ".join(parts)
+
+
+class F2LaurentRing:
+    """F2[x, x^-1] packed into bits, with the involution x -> x^-1.
+
+    A value is a pair (low, mask) standing for x^low times the sum of x^i
+    over the set bits i of mask.  mask is odd, so low is the least exponent,
+    and zero is (0, 0): tuple equality is polynomial equality.  In
+    characteristic 2 a sum is one XOR of the aligned masks and a product is
+    carry-less, the XOR of shifted copies of one mask, one per set bit of
+    the other.  Values print as ``LaurentRing(F2)`` prints them.
+    """
+
+    characteristic = 2
+    zero = (0, 0)
+    one = (0, 1)
+
+    def __repr__(self):
+        return "F2[x,x^-1]"
+
+    def x(self) -> tuple:
+        return (1, 1)
+
+    def from_bits(self, low: int, bits: int) -> tuple:
+        """x^low times the sum of x^i over the set bits i of bits."""
+        if not bits:
+            return (0, 0)
+        t = (bits & -bits).bit_length() - 1
+        return (low + t, bits >> t)
+
+    def add(self, f: tuple, g: tuple) -> tuple:
+        lf, mf = f
+        lg, mg = g
+        if not mf:
+            return g
+        if not mg:
+            return f
+        # The shifted mask has bit 0 clear, so the sum keeps the lower end.
+        if lf < lg:
+            return (lf, mf ^ (mg << (lg - lf)))
+        if lg < lf:
+            return (lg, mg ^ (mf << (lf - lg)))
+        return self.from_bits(lf, mf ^ mg)
+
+    sub = add
+
+    def neg(self, f: tuple) -> tuple:
+        return f
+
+    def mul(self, f: tuple, g: tuple) -> tuple:
+        lf, mf = f
+        lg, mg = g
+        if not mf or not mg:
+            return (0, 0)
+        if mf.bit_count() > mg.bit_count():
+            mf, mg = mg, mf
+        acc = 0
+        while mf:
+            bit = mf & -mf
+            acc ^= mg * bit  # mg shifted up to the position of bit
+            mf ^= bit
+        # Both masks are odd, so bit 0 of the product is 1 * 1.
+        return (lf + lg, acc)
+
+    def involute(self, f: tuple) -> tuple:
+        low, mask = f
+        if not mask:
+            return f
+        # x^low m(x) -> x^-low m(1/x) = x^-(low + d) (x^d m(1/x)) with d = deg m,
+        # and x^d m(1/x) is m with its d + 1 bits reversed.
+        return (1 - low - mask.bit_length(), int(bin(mask)[:1:-1], 2))
+
+    def is_zero(self, f: tuple) -> bool:
+        return not f[1]
+
+    def to_str(self, f: tuple) -> str:
+        e, mask = f
+        if not mask:
+            return "0"
+        parts = []
+        while mask:
+            if mask & 1:
+                parts.append("1" if e == 0 else "x" if e == 1 else f"x^{e}")
+            mask >>= 1
+            e += 1
         return " + ".join(parts)

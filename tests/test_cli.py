@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -291,8 +293,9 @@ def test_import_pulls_in_no_dataclasses():
 MATRIX_GOLDEN = [
     (("--case", "prop3a", "--field", "Q", "--steps", "12"),
      "bb54903eb7445d05b742c71e7504ed0f28382bb6bf8c52ab4a43aea4ee6a9b86"),
+    # the default --steps, 14
     (("--case", "prop3a", "--field", "F3"),
-     "08f6ebe5e3f049139baa29eca775ef4464996bbca6a046c75ad20b69ad123f10"),
+     "48cda0aedea74e34c186d6b9df18ac76fe0bcc739339cc64c5348fe995829e53"),
     (("--case", "prop3b", "--field", "F2"),
      "abd116f5a0d0f05807fb1eaad30f5e4041a0206d0ae4eca69d2f6d60408bd1c4"),
     (("--case", "prop3c-upper", "--field", "F2", "--samples", "50", "--degree", "3",
@@ -325,6 +328,22 @@ def test_matrix_case_golden_stdout(capsys, argv, digest):
     code, out, err = run(capsys, "matrix", *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+README_MATRIX_LINES = [line for line in (Path(__file__).resolve().parent.parent / "README.md")
+                       .read_text(encoding="utf-8").splitlines()
+                       if line.startswith("lpalab matrix ")]
+
+
+def test_readme_lists_matrix_examples():
+    assert len(README_MATRIX_LINES) >= 3
+
+
+@pytest.mark.parametrize("line", README_MATRIX_LINES)
+def test_readme_matrix_example_exits_0(capsys, line):
+    argv = shlex.split(line, comments=True)
+    code, _, err = run(capsys, *argv[1:])
+    assert code == 0 and err == ""
 
 
 # sha256 of the exact stdout of `lpalab verify ... --field Q`, recorded before

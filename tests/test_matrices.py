@@ -39,6 +39,7 @@ from lpalab.matrices import (
     mat_bracket,
     mat_is_zero,
 )
+from lpalab.scalars import F2LaurentRing
 from lpalab.series import SeriesError
 from helpers import (
     assert_canonical_laurent,
@@ -258,6 +259,31 @@ def test_char2_laurent_index3_checks_each_sample_matrix_once(monkeypatch):
     monkeypatch.setattr(matrices, "is_skew", lambda ctx, A: False)
     with pytest.raises(MatrixLabError, match="not skew"):
         char2_laurent_index3_check(1, 2, 3)
+
+
+def test_char2_laurent_index3_reports_a_wrong_closed_form(monkeypatch):
+    def perturbed(ctx, A, B):
+        (r, s), row2 = first_bracket_closed_form(ctx, A, B)
+        return mat(ctx, [[ctx.ring.add(r, ctx.ring.one), s], row2])
+
+    monkeypatch.setattr(matrices, "first_bracket_closed_form", perturbed)
+    rep = char2_laurent_index3_check(3, 2, 1)
+    assert rep.failures == [f"sample {i}: X_{k} differs from closed form"
+                            for i in range(3) for k in range(1, 5)]
+
+
+def test_char2_laurent_index3_reports_a_product_that_drops_its_top_term(monkeypatch):
+    mul = F2LaurentRing.mul
+
+    def drop_top(self, f, g):
+        low, mask = mul(self, f, g)
+        top = 1 << mask.bit_length() >> 1  # 0 for a zero product
+        return self.from_bits(low, mask ^ top)
+
+    monkeypatch.setattr(F2LaurentRing, "mul", drop_top)
+    rep = char2_laurent_index3_check(3, 2, 1)
+    assert "sample 0: X_1 differs from closed form" in rep.failures
+    assert rep.failures[-1] == "sharpness diagonal is not (x^-1 + x) u1^2"
 
 
 def test_char2_laurent_sharpness_diagonal():

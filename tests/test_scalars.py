@@ -12,6 +12,8 @@ from lpalab import (
     field_from_spec,
     field_of_characteristic,
 )
+from lpalab.matrices import MatrixRingCtx, is_skew, mat, mat_bracket
+from lpalab.scalars import F2LaurentRing
 from helpers import (
     assert_canonical_laurent,
     random_laurent,
@@ -220,3 +222,109 @@ def test_laurent_mul_rational_denominators():
     # x^0: 1/6 * 6 - 3/4 * 4/3 cancels, so exponent 0 is not stored
     assert 0 not in got and got[-3] == Fraction(2, 9) and got[1] == Fraction(15, 28)
     assert_canonical_laurent(ring.field, got)
+
+
+F2 = field_from_spec("F2")
+
+
+def _packed(f: dict) -> tuple:
+    """The F2LaurentRing value of an F2 dict polynomial."""
+    if not f:
+        return (0, 0)
+    low = min(f)
+    return (low, sum(1 << (e - low) for e in f))
+
+
+def _unpacked(v: tuple) -> dict:
+    low, mask = v
+    return {low + i: 1 for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def assert_canonical_packed(v):
+    """(low, mask) of ints with mask odd, or the zero (0, 0)."""
+    assert type(v) is tuple and len(v) == 2
+    low, mask = v
+    assert type(low) is int and type(mask) is int and mask >= 0
+    assert v == (0, 0) or mask & 1
+
+
+def _packed_pairs(rng):
+    """F2 dict polynomial pairs: zero, single terms, all-negative exponents,
+    equal low ends, full cancellation, and factors with 20 or more terms."""
+    x3, x_2, one = {3: 1}, {-2: 1}, {0: 1}
+    pairs = [({}, {}), ({}, x3), (x_2, {}), (x3, x_2), (one, one), (x3, x3),
+             ({0: 1, 1: 1, 5: 1}, {0: 1, 1: 1}), ({-1: 1, 1: 1}, {1: 1, -1: 1})]
+    for _ in range(150):
+        kind = rng.randrange(4)
+        if kind == 0:
+            f, g = (random_laurent(F2, rng, rng.randint(0, 8), -30, -1) for _ in range(2))
+        elif kind == 1:
+            f = random_laurent(F2, rng, rng.randint(1, 8), -9, 9)
+            g = random_laurent(F2, rng, rng.randint(0, 8), min(f) + 1, min(f) + 12)
+            g[min(f)] = 1
+        elif kind == 2:
+            f, g = (random_laurent(F2, rng, rng.randint(20, 30), -40, 40) for _ in range(2))
+        else:
+            f, g = (random_laurent(F2, rng, rng.randint(0, 9), -9, 9) for _ in range(2))
+        pairs += [(f, g), (f, dict(f))]
+    return pairs
+
+
+def test_packed_f2_laurent_matches_dict_ring_and_reference():
+    rng = random.Random(41)
+    ring, packed = LaurentRing(F2), F2LaurentRing()
+    assert (packed.zero, packed.one, packed.x()) == (_packed({}), _packed(ring.one),
+                                                     _packed(ring.x()))
+    widest = 0
+    for f, g in _packed_pairs(rng):
+        pf, pg = _packed(f), _packed(g)
+        for op, ref, dict_op in ((packed.add, ref_laurent_add, ring.add),
+                                 (packed.sub, ref_laurent_sub, ring.sub),
+                                 (packed.mul, ref_laurent_mul, ring.mul)):
+            got, want = op(pf, pg), ref(F2, f, g)
+            assert_canonical_packed(got)
+            assert dict_op(f, g) == want
+            assert got == _packed(want) and _unpacked(got) == want
+            assert packed.is_zero(got) == ring.is_zero(want)
+            assert packed.to_str(got) == ring.to_str(want)
+            widest = max(widest, len(want))
+        for h, ph in ((f, pf), (g, pg)):
+            inv = packed.involute(ph)
+            assert_canonical_packed(inv)
+            assert _unpacked(inv) == ring.involute(h)
+            assert packed.neg(ph) == ph == _packed(ring.neg(h))
+            assert packed.is_zero(ph) == ring.is_zero(h)
+            assert packed.to_str(ph) == ring.to_str(h)
+    assert widest > 20
+
+
+def test_packed_f2_laurent_from_bits():
+    packed = F2LaurentRing()
+    assert packed.from_bits(-3, 0) == packed.zero
+    assert packed.from_bits(-3, 0b10100) == (-1, 0b101)
+    assert packed.to_str(packed.from_bits(-3, 0b10110)) == "x^-2 + x^-1 + x"
+
+
+def _skew_pair(rng):
+    """One random skew 2x2 matrix [[a, b], [b~, c]] with a~ = a and c~ = c,
+    as rows over LaurentRing(F2) and as packed rows."""
+    ring = LaurentRing(F2)
+    h1, h2, b = (random_laurent(F2, rng, rng.randint(0, 6), -4, 4) for _ in range(3))
+    a, c = (ring.add(h, ring.involute(h)) for h in (h1, h2))
+    rows = [[a, b], [ring.involute(b), c]]
+    return rows, [[_packed(e) for e in row] for row in rows]
+
+
+def test_packed_f2_laurent_mat_bracket_matches_dict_ring():
+    rng = random.Random(43)
+    dctx, pctx = MatrixRingCtx(2, LaurentRing(F2)), MatrixRingCtx(2, F2LaurentRing())
+    for _ in range(200):
+        (dA, pA), (dB, pB) = _skew_pair(rng), _skew_pair(rng)
+        dA, dB, pA, pB = mat(dctx, dA), mat(dctx, dB), mat(pctx, pA), mat(pctx, pB)
+        assert is_skew(dctx, dA) and is_skew(pctx, pA)
+        got, want = mat_bracket(pctx, pA, pB), mat_bracket(dctx, dA, dB)
+        for got_row, want_row in zip(got, want):
+            for g, w in zip(got_row, want_row):
+                assert_canonical_packed(g)
+                assert g == _packed(w)
+        assert is_skew(pctx, got)
