@@ -300,60 +300,51 @@ class LeavittAlgebra:
     # ------------------------------------------------------------------
     # basis enumeration
 
-    def paths_by_length(self, max_len: int):
-        """paths[k][v] = list of length-k paths (edge tuples) ending at v."""
+    def paths_by_length(self, max_len: int = None):
+        """paths[k][v] = list of length-k paths (edge tuples) ending at v, for
+        k = 0, 1, ... up to max_len or the longest path's length, whichever
+        comes first.  max_len None asks for every path, which only an acyclic
+        graph has finitely many of: a graph with a cycle raises AlgebraError."""
         nv = len(self.graph.vertices)
-        level = {v: [()] for v in range(nv)}
-        out = [level]
-        for _ in range(max_len):
+        if max_len is None and not is_acyclic(self.graph):
+            raise AlgebraError("graph has a cycle; path lengths are unbounded")
+        out = [{v: [()] for v in range(nv)}]
+        while max_len is None or len(out) <= max_len:
             nxt: dict = {v: [] for v in range(nv)}
-            grew = False
             for v in range(nv):
                 for p in out[-1][v]:
                     for e in self._out[v]:
                         nxt[self._dst[e]].append(p + (e,))
-                        grew = True
-            out.append(nxt)
-            if not grew:
+            if not any(nxt.values()):
                 break
-        while len(out) <= max_len:
-            out.append({v: [] for v in range(len(self.graph.vertices))})
+            out.append(nxt)
         return out
 
-    def basis_monomials(self, max_weight: int) -> list:
-        """All basis monomials of weight <= max_weight, in monomial order."""
+    def basis_monomials(self, max_weight: int = None) -> list:
+        """All basis monomials of weight <= max_weight, in monomial order;
+        max_weight None gives the whole basis, finite exactly when the graph
+        is acyclic (a graph with a cycle raises AlgebraError)."""
         paths = self.paths_by_length(max_weight)
+        weight = 2 * (len(paths) - 1) if max_weight is None else max_weight
         nv = len(self.graph.vertices)
         monos = []
         for v in range(nv):
-            for a in range(max_weight + 1):
-                for b in range(max_weight + 1 - a):
-                    for lam in paths[a][v]:
-                        for nu in paths[b][v]:
+            for a, lams in enumerate(paths):
+                for nus in paths[:weight + 1 - a]:
+                    for lam in lams[v]:
+                        for nu in nus[v]:
                             m = (lam, nu, v)
                             if self.is_basis_mono(m):
                                 monos.append(m)
         monos.sort(key=mono_order_key)
         return monos
 
-    def longest_path_length(self) -> int:
-        if not is_acyclic(self.graph):
-            raise AlgebraError("graph has a cycle; path lengths are unbounded")
-        paths = self.paths_by_length(len(self.graph.vertices))
-        for k in range(len(paths) - 1, -1, -1):
-            if any(paths[k][v] for v in range(len(self.graph.vertices))):
-                return k
-        return 0
-
-    def full_basis(self) -> list:
-        """The complete finite basis (acyclic graphs only)."""
-        return self.basis_monomials(2 * self.longest_path_length())
-
     # ------------------------------------------------------------------
     # skew / symmetric generators
 
-    def skew_generators(self, weight_bound: int) -> list:
-        """Spanning set of the skew part up to the weight bound.
+    def skew_generators(self, weight_bound) -> list:
+        """Spanning set of the skew part up to the weight bound (None: of the
+        whole skew part, as for ``basis_monomials``).
 
         For characteristic != 2 these are the differences b - b* over basis
         monomial pairs; fixed monomials contribute nothing.  In characteristic
@@ -361,10 +352,10 @@ class LeavittAlgebra:
         """
         return self._involution_generators(weight_bound, skew=True)
 
-    def symmetric_generators(self, weight_bound: int) -> list:
+    def symmetric_generators(self, weight_bound) -> list:
         return self._involution_generators(weight_bound, skew=False)
 
-    def _involution_generators(self, weight_bound: int, skew: bool) -> list:
+    def _involution_generators(self, weight_bound, skew: bool) -> list:
         f = self.field
         char2 = f.characteristic == 2
         gens = []

@@ -162,12 +162,14 @@ def cross_validate(g: Graph, fld, mode: str = "auto", weight: int = 6,
                    depth=None, structure: str = "lie") -> CrossReport:
     """Run the classifier and the series probe and compare them.
 
-    Exact mode (acyclic graphs) demands equality: a solvable verdict must
-    match the computed index, a non-solvable verdict must see the series
-    stabilize nonzero.  Truncated mode checks only the sound directions: a
+    Exact mode (acyclic graphs) runs the complete series, whatever the
+    depth, and demands equality: the step at which it vanishes must be the
+    predicted index, None for a non-solvable verdict, whose series repeats
+    nonzero instead.  Truncated mode checks only the sound directions: a
     nonzero step k is a contradiction whenever the predicted index is <= k;
-    anything else is consistent evidence.  Exact mode on a graph with a
-    cycle raises the probe's ``ModeUnavailableError``.
+    anything else is consistent evidence.  weight and depth bound truncated
+    mode only.  Exact mode on a graph with a cycle raises the probe's
+    ``ModeUnavailableError``.
     """
     verdict = classify(g, fld.characteristic)
     if mode == "auto":
@@ -185,25 +187,19 @@ def cross_validate(g: Graph, fld, mode: str = "auto", weight: int = 6,
                      "probe reported without comparison")
         return CrossReport(status="CONSISTENT", verdict=verdict, probe=probe, notes=notes)
     if mode == "exact":
-        if verdict.lie_solvable:
-            if probe.vanished_at == predicted:
-                status = "AGREE"
-            else:
-                status = "FAIL"
-                notes.append(
-                    f"exact disagreement: predicted index {predicted}, "
-                    f"series vanished at {probe.vanished_at} (dims {probe.dims})"
-                )
-        else:
-            if probe.vanished_at is None:
-                status = "AGREE"
-                notes.append("series stabilized nonzero, matching the non-solvable verdict")
-            else:
-                status = "FAIL"
-                notes.append(
-                    f"exact disagreement: predicted non-solvable, series vanished at "
-                    f"{probe.vanished_at}"
-                )
+        status = "AGREE" if probe.vanished_at == predicted else "FAIL"
+        if predicted is None:
+            notes.append(
+                "series stabilized nonzero, matching the non-solvable verdict"
+                if status == "AGREE" else
+                f"exact disagreement: predicted non-solvable, series vanished at "
+                f"{probe.vanished_at}"
+            )
+        elif status == "FAIL":
+            notes.append(
+                f"exact disagreement: predicted index {predicted}, "
+                f"series vanished at {probe.vanished_at} (dims {probe.dims})"
+            )
     else:
         if predicted is not None:
             bad = [k for k, d in enumerate(probe.dims) if k >= predicted and d > 0]

@@ -75,9 +75,7 @@ def _emit(obj: dict, args, text_lines=None) -> None:
 
 
 def _cmd_classify(args) -> int:
-    if args.char != 0 and args.char < 2:
-        raise ScalarError(f"characteristic must be 0 or a prime, got {args.char}")
-    field_of_characteristic(args.char)  # validates primality
+    field_of_characteristic(args.char)  # rejects a characteristic neither 0 nor prime
     g = _load_graph(args.graph)
     v = classify(g, args.char)
     obj = v.to_json_obj()
@@ -148,6 +146,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_corpus(args) -> int:
     fields = [field_from_spec(s) for s in args.fields.split(",") if s]
+    if not fields:
+        raise ScalarError(f"--fields names no field: {args.fields!r}")
     root = Path(args.dir)
     if not root.is_dir():
         raise GraphError(f"not a directory: {args.dir}")
@@ -188,7 +188,7 @@ def _verify_options(p) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--field", required=True, help="F2, F3, F5, or Q")
     p.add_argument("--mode", choices=("auto", "exact", "truncated"), default="auto")
-    p.add_argument("--weight", type=int, default=6)
+    p.add_argument("--weight", type=_int_at_least(0), default=6)
     p.add_argument("--depth", type=COUNT, default=None)
     p.add_argument("--structure", choices=("lie", "jordan"), default="lie")
     p.add_argument("--text", action="store_true")
@@ -220,7 +220,7 @@ def _eval_options(p) -> None:
 def _corpus_options(p) -> None:
     p.add_argument("--dir", required=True)
     p.add_argument("--fields", default="F2,F3,Q")
-    p.add_argument("--weight", type=int, default=6)
+    p.add_argument("--weight", type=_int_at_least(0), default=6)
     p.add_argument("--depth", type=COUNT, default=None)
     p.add_argument("--text", action="store_true")
     p.add_argument("--out")

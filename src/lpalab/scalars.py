@@ -218,6 +218,8 @@ def field_of_characteristic(c: int):
     """Field with the given characteristic: Q for 0, F_p for prime p."""
     if c == 0:
         return _FIELDS["Q"]
+    if not _is_prime(c):
+        raise ScalarError(f"characteristic must be 0 or a prime, got {c}")
     return _FIELDS.get(f"F{c}", None) or PrimeField(c)
 
 

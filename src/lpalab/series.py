@@ -278,9 +278,12 @@ def solvability_probe(graph: Graph, fld, structure: str = "lie", mode: str = "ex
     series.
 
     Exact mode needs an acyclic materialized graph, where the basis is finite
-    and the answer is complete.  Truncated mode restricts the generators to
-    the weight bound but never clips products, so every nonzero step is a
-    genuine lower bound while a vanishing step is only evidence.
+    and the answer is complete: the generators span the whole skew or
+    symmetric part, and the series runs until it vanishes or repeats, which
+    it does within dim + 1 steps.  It reads neither weight nor max_depth.
+    Truncated mode restricts the generators to the weight bound and stops
+    after max_depth steps, but never clips products, so every nonzero step
+    is a genuine lower bound while a vanishing step is only evidence.
 
     Over Q the series runs on integer rows (the generators have coefficients
     +-1, so every product stays integral); the witness row is divided by its
@@ -296,21 +299,18 @@ def solvability_probe(graph: Graph, fld, structure: str = "lie", mode: str = "ex
     if mode == "exact":
         if not is_acyclic(graph):
             raise ModeUnavailableError("exact mode requires an acyclic materialized graph")
-        bound = 2 * algebra.longest_path_length()
-        used_weight = None
+        weight = max_depth = None
     elif mode == "truncated":
         if weight is None or weight < 0:
             raise SeriesError("truncated mode requires a weight bound")
         if max_depth is None:
             raise SeriesError("truncated mode requires a finite depth")
-        bound = weight
-        used_weight = weight
     else:
         raise SeriesError(f"unknown mode: {mode!r}")
     if structure == "lie":
-        gens, product = algebra.skew_generators(bound), algebra.bracket
+        gens, product = algebra.skew_generators(weight), algebra.bracket
     else:
-        gens, product = algebra.symmetric_generators(bound), algebra.circle
+        gens, product = algebra.symmetric_generators(weight), algebra.circle
     dims, vanished, witness, stabilized = _run_series(
         element_subspace(algebra, gens), element_pair_op(product), max_depth,
         symmetric_op=structure == "jordan")
@@ -321,4 +321,4 @@ def solvability_probe(graph: Graph, fld, structure: str = "lie", mode: str = "ex
             witness = {k: Fraction(c, d) for k, c in witness.items()}
         text = format_element(Element(algebra, witness))
     return SeriesReport("derived" if structure == "lie" else "jordan_derived", mode, dims,
-                        vanished, text, stabilized, used_weight)
+                        vanished, text, stabilized, weight)

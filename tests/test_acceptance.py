@@ -71,7 +71,7 @@ def test_criterion_02_basis_dimension():
     ok = True
     for n in (1, 2, 3):
         alg = LeavittAlgebra(e4_graph(n), Q)
-        dim = len(alg.full_basis())
+        dim = len(alg.basis_monomials())
         matrix_side = n * 4  # n summands of 2x2 matrices
         ok = ok and dim == 4 * n == matrix_side
     dt = time.time() - t0
@@ -147,7 +147,7 @@ def test_criterion_03_index_table_exact_mode():
             seen = set()
             for n in (1, 2, 3):
                 g = e4_graph(n, flagged=flagged)
-                dim = len(LeavittAlgebra(g, fld).full_basis())
+                dim = len(LeavittAlgebra(g, fld).basis_monomials())
                 if dim != sum(b * b for b in [2] * n + extra):
                     problems.append(f"{key} n={n}: dim {dim} does not match the blocks")
                 seen.add(solvability_probe(g, fld, "lie", "exact").vanished_at)

@@ -23,7 +23,9 @@ from helpers import (
     basis_count,
     e1_graph,
     e2_graph,
+    e3_graph,
     e4_graph,
+    e5_graph,
     f1_path_graph,
     f2_graph,
     f3_graph,
@@ -189,23 +191,37 @@ def test_add_sub_leave_inputs_unchanged():
 def test_basis_dimension_e4():
     for n in (1, 2, 3):
         alg = LeavittAlgebra(e4_graph(n), Q)
-        assert len(alg.full_basis()) == 4 * n
+        assert len(alg.basis_monomials()) == 4 * n
 
 
 def test_basis_count_matches_enumeration():
-    from helpers import e3_graph, e5_graph
-
     for g in (e4_graph(2), e4_graph(2, flagged=True), rose_graph(3), e3_graph(),
               e5_graph(2)):
         for fld in (Q, F2):
             alg = LeavittAlgebra(g, fld)
             for w in (0, 1, 3, 5):
                 assert basis_count(alg, w) == len(alg.basis_monomials(w))
+    # The whole basis of an acyclic graph: every path has fewer edges than the
+    # graph has vertices, so no basis monomial weighs 2 * |V| or more.
+    for g in (e4_graph(3), e4_graph(2, flagged=True), f1_path_graph(), e1_graph()):
+        alg = LeavittAlgebra(g, F2)
+        whole = alg.basis_monomials()
+        assert whole == alg.basis_monomials(2 * len(g.vertices))
+        assert len(whole) == basis_count(alg, 2 * len(g.vertices))
+
+
+@pytest.mark.parametrize("graph", [e3_graph, lambda: rose_graph(2)], ids=["E3", "rose2"])
+def test_whole_basis_of_cyclic_graph_raises(graph):
+    alg = LeavittAlgebra(graph(), F2)
+    with pytest.raises(AlgebraError, match="cycle"):
+        alg.basis_monomials()
+    with pytest.raises(AlgebraError, match="cycle"):
+        alg.paths_by_length()
 
 
 def test_monomial_order_is_total_and_weight_first():
     alg = LeavittAlgebra(e4_graph(2), Q)
-    monos = alg.full_basis()
+    monos = alg.basis_monomials()
     keys = [mono_order_key(m) for m in monos]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)

@@ -9,7 +9,7 @@ import pytest
 
 from lpalab import ModeUnavailableError, cross_validate, field_from_spec
 from lpalab.cli import build_parser, main
-from helpers import e3_graph, e4_graph, f1_path_graph
+from helpers import e1_graph, e3_graph, e4_graph, f1_path_graph, f3_graph
 
 
 def write_graph(tmp_path, name, graph):
@@ -51,8 +51,10 @@ def test_classify_rejects_empty_graph(tmp_path, capsys):
 
 def test_classify_rejects_bad_characteristic(tmp_path, capsys):
     path = write_graph(tmp_path, "e3.json", e3_graph())
-    code, _, err = run(capsys, "classify", "--graph", path, "--char", "4")
-    assert code == 2 and "prime" in err
+    for char in ("4", "1", "-4"):
+        code, out, err = run(capsys, "classify", "--graph", path, "--char", char)
+        assert (code, out) == (2, "")
+        assert err == f"error: characteristic must be 0 or a prime, got {char}\n"
 
 
 def test_classify_deterministic_bytes(tmp_path, capsys):
@@ -68,6 +70,15 @@ def test_verify_exact_agree(tmp_path, capsys):
                        "--mode", "exact")
     assert code == 0
     assert json.loads(out)["status"] == "AGREE"
+
+
+def test_verify_exact_ignores_depth(tmp_path, capsys):
+    # Exact mode runs the complete series: a depth cuts truncated runs only.
+    path = write_graph(tmp_path, "e4n2.json", e4_graph(2))
+    argv = ("verify", "--graph", path, "--field", "F2", "--mode", "exact")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and json.loads(out)["probe"]["dims"] == [6, 2, 0]
+    assert run(capsys, *argv, "--depth", "1") == (code, out, err)
 
 
 def test_verify_truncated_consistent(tmp_path, capsys):
@@ -173,6 +184,27 @@ def test_corpus_command(tmp_path, capsys):
     assert [e["file"] for e in obj["entries"]][:2] == ["a_e3.json", "a_e3.json"]
 
 
+def test_corpus_exact_entries_ignore_depth(tmp_path, capsys):
+    d = tmp_path / "graphs"
+    d.mkdir()
+    for name, g in (("e1.json", e1_graph()), ("e4n1.json", e4_graph(1)),
+                    ("e4n2.json", e4_graph(2)), ("e4n3.json", e4_graph(3)),
+                    ("f1.json", f1_path_graph()), ("f3.json", f3_graph())):
+        write_graph(d, name, g)
+    code, out, err = run(capsys, "corpus", "--dir", str(d))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["summary"] == {"AGREE": 18, "CONSISTENT": 0, "FAIL": 0, "ERROR": 0}
+    assert run(capsys, "corpus", "--dir", str(d), "--depth", "1") == (code, out, err)
+
+
+@pytest.mark.parametrize("fields", ["", ","])
+def test_corpus_fields_must_name_a_field(tmp_path, capsys, fields):
+    write_graph(tmp_path, "e4.json", e4_graph(1))
+    code, out, err = run(capsys, "corpus", "--dir", str(tmp_path), "--fields", fields)
+    assert (code, out) == (2, "")
+    assert "--fields" in err
+
+
 def test_corpus_isolates_unreadable_file(tmp_path, capsys):
     d = tmp_path / "graphs"
     d.mkdir()
@@ -216,6 +248,9 @@ def test_out_file(tmp_path, capsys):
     (("verify", "--mode", "truncated", "--weight", "4", "--depth", "-1"), "--depth"),
     (("verify", "--mode", "truncated", "--weight", "4", "--depth", "0"), "--depth"),
     (("corpus", "--depth", "0"), "--depth"),
+    (("verify", "--weight", "-1"), "--weight"),
+    (("verify", "--mode", "exact", "--weight", "-1"), "--weight"),
+    (("corpus", "--weight", "-1"), "--weight"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
 def test_vacuous_numeric_flag_exits_2(tmp_path, capsys, argv, flag):
     path = write_graph(tmp_path, "e3.json", e3_graph())
@@ -227,7 +262,7 @@ def test_vacuous_numeric_flag_exits_2(tmp_path, capsys, argv, flag):
     assert f"argument {flag}:" in err
 
 
-def test_smallest_numeric_flags_accepted(capsys):
+def test_smallest_numeric_flags_accepted(tmp_path, capsys):
     code, out, _ = run(capsys, "matrix", "--case", "prop3d", "--steps", "1")
     assert code == 0 and json.loads(out)["steps_checked"] == 1
     code, out, _ = run(capsys, "matrix", "--case", "prop3c-upper", "--field", "F2",
@@ -236,6 +271,12 @@ def test_smallest_numeric_flags_accepted(capsys):
     code, out, _ = run(capsys, "matrix", "--case", "cor-field", "--field", "Q",
                        "--depth", "1")
     assert code == 0 and json.loads(out)["params"]["depth"] == 1
+    path = write_graph(tmp_path, "e3.json", e3_graph())
+    code, out, _ = run(capsys, "verify", "--graph", path, "--field", "F3", "--weight", "0")
+    assert code == 0 and json.loads(out)["probe"]["mode"] == "truncated(0)"
+    code, out, _ = run(capsys, "corpus", "--dir", str(tmp_path), "--fields", "F3",
+                       "--weight", "0")
+    assert code == 0 and json.loads(out)["summary"]["CONSISTENT"] == 1
 
 
 def test_usage_error(capsys):

@@ -36,6 +36,8 @@ from helpers import (
     e4_graph,
     e5_graph,
     f1_path_graph,
+    f2_graph,
+    f3_graph,
     random_element,
     rose_graph,
 )
@@ -51,7 +53,7 @@ def test_span_examples():
     s = element_subspace(alg, [v, alg.scale(Fraction(2), v)])
     assert s.dim == 1
     assert element_subspace(alg, []).dim == 0
-    monos = alg.full_basis()
+    monos = alg.basis_monomials()
     s8 = element_subspace(alg, [alg.element({m: Q.one}) for m in monos])
     assert s8.dim == 8
 
@@ -223,6 +225,33 @@ def test_exact_mode_dims_non_increasing():
         for fld in (Q, F2, F3):
             rep = solvability_probe(g, fld, "lie", "exact", max_depth=None)
             assert all(a >= b for a, b in zip(rep.dims, rep.dims[1:]))
+
+
+EXACT_GRAPHS = {
+    "E1": e1_graph,
+    "E4(1)": lambda: e4_graph(1),
+    "E4(2)": lambda: e4_graph(2),
+    "E4(3)": lambda: e4_graph(3),
+    "E4(2) flagged": lambda: e4_graph(2, flagged=True),
+    "F1": f1_path_graph,
+    "F2": f2_graph,
+    "F3": f3_graph,
+}
+
+
+@pytest.mark.parametrize("structure", ["lie", "jordan"])
+@pytest.mark.parametrize("fld", [F2, F3, Q], ids=repr)
+@pytest.mark.parametrize("name", EXACT_GRAPHS)
+def test_exact_probe_runs_complete_series_whatever_depth(name, fld, structure):
+    # Exact mode reads neither bound: the whole basis, and the series until it
+    # vanishes or repeats.
+    g = EXACT_GRAPHS[name]()
+    complete = solvability_probe(g, fld, structure, "exact", max_depth=None)
+    assert complete.vanished_at is not None or complete.stabilized
+    capped = solvability_probe(g, fld, structure, "exact", weight=0, max_depth=1)
+    assert (capped.dims, capped.vanished_at, capped.stabilized, capped.witness_text) == (
+        complete.dims, complete.vanished_at, complete.stabilized, complete.witness_text)
+    assert capped.to_json_obj() == complete.to_json_obj()
 
 
 def test_derived_series_zero_start():
@@ -411,7 +440,7 @@ def _reference_probe(g, structure, mode, weight, max_depth):
     """What solvability_probe computes over Q, run on monic Fraction rows:
     the series over a Q-field Subspace, its witness formatted as is."""
     alg = LeavittAlgebra(g, Q)
-    bound = 2 * alg.longest_path_length() if mode == "exact" else weight
+    bound = None if mode == "exact" else weight
     if structure == "lie":
         gens, op = alg.skew_generators(bound), alg.bracket
     else:

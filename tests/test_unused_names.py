@@ -14,7 +14,6 @@ SRC = Path(lpalab.__file__).parent
 
 # name -> why it stays although no package module refers to it
 ALLOWED = {
-    "full_basis": "the complete basis of an acyclic graph; the exact oracle of ROADMAP item 2",
     "nonsolvability_certificate": "checked non-solvability proof; verify shows it in ROADMAP item 3",
     "laurent_corner_certificate": "the same proof for a cycle without exit; ROADMAP item 3",
     "verify_matrix_units": "test oracle for the matrix-unit relations of an embedding",
