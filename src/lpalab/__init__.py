@@ -2,6 +2,9 @@
 construction, Lie/Jordan structure under the standard involution, series
 computation, and the graph-pattern solvability classifier."""
 
+import importlib.util
+import sys
+
 from .algebra import (
     AlgebraError,
     Element,
@@ -27,21 +30,9 @@ from .graphs import (
     sinks,
     validate_graph,
 )
-from .matrices import (
-    MatrixLabError,
-    MatrixRingCtx,
-    MatrixReport,
-    char2_laurent_index3_check,
-    corollary_field_check,
-    corollary_laurent_check,
-    mat_involution,
-    skew_matrix_basis,
-    witness_laurent_nonsolvable,
-    witness_nge3,
-    witness_nilpotent_char2,
-)
 from .scalars import (
     LaurentRing,
+    MatrixLabError,
     PrimeField,
     RationalField,
     ScalarError,
@@ -60,3 +51,32 @@ from .series import (
 )
 
 __version__ = "0.1.0"
+
+# The matrix module is registered in sys.modules from the start but compiled
+# and run only on its first attribute access (importlib's LazyLoader), so the
+# commands other than ``matrix`` compile no matrix code, while code that walks
+# sys.modules still finds it.
+_spec = importlib.util.find_spec(__name__ + ".matrices")
+_spec.loader = importlib.util.LazyLoader(_spec.loader)
+matrices = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(matrices)
+
+# Re-exported from ``matrices`` on first access (PEP 562).
+_MATRIX_NAMES = frozenset({
+    "MatrixRingCtx",
+    "MatrixReport",
+    "char2_laurent_index3_check",
+    "corollary_field_check",
+    "corollary_laurent_check",
+    "mat_involution",
+    "skew_matrix_basis",
+    "witness_laurent_nonsolvable",
+    "witness_nge3",
+    "witness_nilpotent_char2",
+})
+
+
+def __getattr__(name):
+    if name in _MATRIX_NAMES:
+        return getattr(matrices, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,21 +14,18 @@ import json
 import sys
 from pathlib import Path
 
+from . import matrices
 from .algebra import AlgebraError, LeavittAlgebra
 from .classify import classify, cross_validate
 from .exprs import ExprError, format_element, parse_element
 from .graphs import GraphError, validate_graph
-from .matrices import (
+from .scalars import (
+    LaurentRing,
     MatrixLabError,
-    MatrixRingCtx,
-    char2_laurent_index3_check,
-    corollary_field_check,
-    corollary_laurent_check,
-    witness_laurent_nonsolvable,
-    witness_nge3,
-    witness_nilpotent_char2,
+    ScalarError,
+    field_from_spec,
+    field_of_characteristic,
 )
-from .scalars import LaurentRing, ScalarError, field_from_spec, field_of_characteristic
 from .series import ModeUnavailableError, SeriesError
 
 EXIT_OK = 0
@@ -105,27 +102,30 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    # The first use of ``matrices`` compiles it: no other command does.
     fld = field_from_spec(args.field)
     case = args.case
     if case == "prop3a":
-        ctx = MatrixRingCtx(args.n, fld)
-        rep = witness_nge3(ctx, fld.parse(args.a), fld.parse(args.b), fld.parse(args.c),
-                           args.steps if args.steps is not None else 14)
+        ctx = matrices.MatrixRingCtx(args.n, fld)
+        rep = matrices.witness_nge3(ctx, fld.parse(args.a), fld.parse(args.b),
+                                    fld.parse(args.c),
+                                    args.steps if args.steps is not None else 14)
     elif case == "prop3b":
-        rep = witness_nilpotent_char2(fld, args.steps if args.steps is not None else 10)
+        rep = matrices.witness_nilpotent_char2(fld, args.steps if args.steps is not None else 10)
     elif case == "prop3c-upper":
-        rep = char2_laurent_index3_check(args.samples, args.degree, args.seed, fld)
+        rep = matrices.char2_laurent_index3_check(args.samples, args.degree, args.seed, fld)
     elif case == "prop3c-sharp":
-        rep = char2_laurent_index3_check(0, args.degree, args.seed, fld)
+        rep = matrices.char2_laurent_index3_check(0, args.degree, args.seed, fld)
         rep.case = "prop3c-sharp"
     elif case == "prop3d":
         ring = LaurentRing(fld)
         u = ring.sub(ring.x(), ring.x_inv())
-        rep = witness_laurent_nonsolvable(ring, u, args.steps if args.steps is not None else 6)
+        rep = matrices.witness_laurent_nonsolvable(ring, u,
+                                                   args.steps if args.steps is not None else 6)
     elif case == "cor-field":
-        rep = corollary_field_check(fld, args.depth or 10)
+        rep = matrices.corollary_field_check(fld, args.depth or 10)
     elif case == "cor-laurent":
-        rep = corollary_laurent_check(fld, args.degree, args.depth or 8)
+        rep = matrices.corollary_laurent_check(fld, args.degree, args.depth or 8)
     else:
         raise MatrixLabError(f"unknown case {case!r}")
     obj = rep.to_json_obj()
@@ -153,21 +153,30 @@ def _cmd_corpus(args) -> int:
         raise GraphError(f"not a directory: {args.dir}")
     entries = []
     summary = {"AGREE": 0, "CONSISTENT": 0, "FAIL": 0, "ERROR": 0}
+    errors = (GraphError, SeriesError, ScalarError, AlgebraError, OSError,
+              json.JSONDecodeError)
     for path in sorted(root.glob("*.json")):
+        # Read and validate each file once; a file that fails to load gives
+        # one ERROR entry per field, with the same text.
+        try:
+            g, load_error = _load_graph(str(path)), None
+        except errors as exc:
+            g, load_error = None, exc
         for fld in fields:
-            try:
-                g = _load_graph(str(path))
-                rep = cross_validate(g, fld, mode="auto", weight=args.weight,
-                                     depth=args.depth)
-                status = rep.status
-            except (GraphError, SeriesError, ScalarError, AlgebraError, OSError,
-                    json.JSONDecodeError) as exc:
-                status = "ERROR"
-                entries.append({"file": path.name, "field": repr(fld), "status": status,
-                                "error": str(exc)})
-                summary["ERROR"] += 1
-                continue
-            entries.append({"file": path.name, "field": repr(fld), "status": status})
+            error = load_error
+            if error is None:
+                try:
+                    status = cross_validate(g, fld, mode="auto", weight=args.weight,
+                                            depth=args.depth).status
+                except errors as exc:
+                    error = exc
+            entry = {"file": path.name, "field": repr(fld)}
+            if error is None:
+                entry["status"] = status
+            else:
+                status = entry["status"] = "ERROR"
+                entry["error"] = str(error)
+            entries.append(entry)
             summary[status] += 1
     obj = {"entries": entries, "summary": summary}
     lines = [f"{e['file']} {e['field']}: {e['status']}" for e in entries] + [

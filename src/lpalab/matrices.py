@@ -8,7 +8,9 @@ object so the same code serves field entries and Laurent entries.  They are
 built from their nonzero entries {(i, j): x}, 1-indexed, by ``dense``; ``mat``
 takes a whole grid and checks its shape.  Entries must commute (both kinds of
 entry ring are commutative): the bracket kernel ``mat_bracket`` cancels and
-pairs terms of AB - BA by that fact.
+pairs terms of AB - BA by that fact.  The series of the corollary spans
+bracket their rows as sparse cells instead (``matrix_pair_op``), since those
+rows have one or two nonzero entries.
 """
 
 from __future__ import annotations
@@ -17,12 +19,8 @@ import random
 
 from .algebra import LeavittAlgebra, corner_embedding, forbidden_embedding_units, unit_embedding
 from .graphs import Graph
-from .scalars import F2LaurentRing, LaurentRing
+from .scalars import F2LaurentRing, LaurentRing, MatrixLabError
 from .series import SeriesError, Subspace, _run_series
-
-
-class MatrixLabError(ValueError):
-    pass
 
 
 class MatrixRingCtx:
@@ -498,27 +496,17 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
 def mat_to_vec(ctx: MatrixRingCtx, A) -> dict:
     """Flatten to sparse coordinates: (i, j) for fields, (i, j, exp) for
     Laurent entries, over the base field either way."""
-    out = {}
-    if not isinstance(ctx.ring, LaurentRing):
-        for i in range(ctx.n):
-            for j in range(ctx.n):
-                if not ctx.ring.is_zero(A[i][j]):
-                    out[(i, j)] = A[i][j]
-    else:
-        for i in range(ctx.n):
-            for j in range(ctx.n):
-                for e, c in A[i][j].items():
-                    out[(i, j, e)] = c
-    return out
+    return _flatten(ctx.ring, {(i, j): A[i][j] for i in range(ctx.n) for j in range(ctx.n)})
 
 
-def vec_to_mat(ctx: MatrixRingCtx, vec: dict):
-    if not isinstance(ctx.ring, LaurentRing):
-        return dense(ctx, {(i + 1, j + 1): c for (i, j), c in vec.items()})
-    cells: dict = {}
-    for (i, j, e), c in vec.items():
-        cells.setdefault((i + 1, j + 1), {})[e] = c
-    return dense(ctx, cells)
+def _flatten(ring, cells: dict) -> dict:
+    """Span coordinates of the cells {(i, j): entry}, 0-indexed; zero cells
+    are dropped."""
+    is_zero = ring.is_zero
+    if not isinstance(ring, LaurentRing):
+        return {ij: x for ij, x in cells.items() if not is_zero(x)}
+    return {(i, j, e): c for (i, j), x in cells.items() if not is_zero(x)
+            for e, c in x.items()}
 
 
 def matrix_span(ctx: MatrixRingCtx, matrices) -> Subspace:
@@ -529,36 +517,76 @@ def matrix_span(ctx: MatrixRingCtx, matrices) -> Subspace:
     return s
 
 
-def matrix_pair_op(ctx: MatrixRingCtx):
-    def op(a: dict, b: dict) -> dict:
-        return mat_to_vec(ctx, mat_bracket(ctx, vec_to_mat(ctx, a), vec_to_mat(ctx, b)))
+def matrix_pair_op(ctx: MatrixRingCtx) -> tuple:
+    """(lift, op) for the series of a matrix span, bracketing sparse cells.
 
-    return op
+    ``lift`` groups a flattened span row into its nonzero cells by row index,
+    {i: [(k, entry), ...]}; ``op`` brackets two lifted rows and flattens the
+    result.  [A, B] = sum of A_ik B_kj - B_ik A_kj over the cell pairs whose
+    inner indices k meet, so cells that are zero cost nothing: the corollary
+    spans start from rows of one or two cells.  The ring's operations are
+    looked up per bracket, so a wrapper put on the ring class sees them.
+    """
+    ring = ctx.ring
+    laurent = isinstance(ring, LaurentRing)
+
+    def lift(vec: dict) -> dict:
+        if laurent:
+            cells: dict = {}
+            for (i, j, e), c in vec.items():
+                cells.setdefault((i, j), {})[e] = c
+        else:
+            cells = vec
+        rows: dict = {}
+        for (i, k), x in cells.items():
+            rows.setdefault(i, []).append((k, x))
+        return rows
+
+    def op(A: dict, B: dict) -> dict:
+        mul, add, sub, neg = ring.mul, ring.add, ring.sub, ring.neg
+        out: dict = {}
+        for i, row in A.items():
+            for k, a in row:
+                for j, b in B.get(k, ()):
+                    p = mul(a, b)
+                    x = out.get((i, j))
+                    out[(i, j)] = p if x is None else add(x, p)
+        for i, row in B.items():
+            for k, b in row:
+                for j, a in A.get(k, ()):
+                    p = mul(b, a)
+                    x = out.get((i, j))
+                    out[(i, j)] = neg(p) if x is None else sub(x, p)
+        return _flatten(ring, out)
+
+    return lift, op
 
 
 def corollary_field_check(fld, depth: int = 10) -> MatrixReport:
     """Skew 2x2 matrices over a field: abelian when the characteristic is not
-    2; solvable of index exactly 2 but never nilpotent in characteristic 2."""
+    2; solvable of index exactly 2 but never nilpotent in characteristic 2.
+    Both series run on the flattened span, bracketing sparse cells
+    (``matrix_pair_op``)."""
     ctx = MatrixRingCtx(2, fld)
     S0 = matrix_span(ctx, skew_matrix_basis(ctx))
-    op = matrix_pair_op(ctx)
+    lift, op = matrix_pair_op(ctx)
     rep = MatrixReport("cor-field", {"field": repr(fld), "depth": depth})
-    dims, vanished, _, _ = _run_series(S0, op, depth)
+    dims, vanished, _, _ = _run_series(S0, op, depth, lift=lift)
     if fld.characteristic != 2:
         if vanished != 1:
             rep.failures.append(f"expected the skew part to be abelian, dims {dims}")
     else:
         if vanished != 2:
             rep.failures.append(f"expected solvability index 2, dims {dims}")
-        _check_lower_central_lives(rep, S0, op, depth)
+        _check_lower_central_lives(rep, S0, lift, op, depth)
     rep.steps_checked = depth
     rep.notes.append(f"derived dims: {dims}")
     return rep
 
 
-def _check_lower_central_lives(rep: MatrixReport, S0: Subspace, op, depth: int) -> None:
+def _check_lower_central_lives(rep: MatrixReport, S0: Subspace, lift, op, depth: int) -> None:
     """Record a failure unless the lower central series stays nonzero."""
-    dims, vanished, _, _ = _run_series(S0, op, depth, lower_central=True)
+    dims, vanished, _, _ = _run_series(S0, op, depth, lower_central=True, lift=lift)
     if vanished is not None or not all(dims):
         rep.failures.append(f"lower central series died, dims {dims}")
 
@@ -566,22 +594,24 @@ def _check_lower_central_lives(rep: MatrixReport, S0: Subspace, op, depth: int) 
 def corollary_laurent_check(fld, degree_bound: int = 2, depth: int = 8) -> MatrixReport:
     """Skew 2x2 matrices over K[x, x^-1]: characteristic 2 gives solvability
     index exactly 3 and no nilpotency; otherwise the derived series of the
-    degree-bounded span stays nonzero (the witness recursion is the proof)."""
+    degree-bounded span stays nonzero (the witness recursion is the proof).
+    The series bracket sparse cells (``matrix_pair_op``) whose entries
+    multiply through ``LaurentRing.mul``."""
     ring = LaurentRing(fld)
     ctx = MatrixRingCtx(2, ring)
     S0 = matrix_span(ctx, skew_matrix_basis(ctx, degree_bound))
-    op = matrix_pair_op(ctx)
+    lift, op = matrix_pair_op(ctx)
     rep = MatrixReport("cor-laurent", {"field": repr(fld), "degree_bound": degree_bound,
                                        "depth": depth})
     if fld.characteristic == 2:
-        dims, vanished, _, _ = _run_series(S0, op, depth)
+        dims, vanished, _, _ = _run_series(S0, op, depth, lift=lift)
         if vanished != 3:
             rep.failures.append(f"expected solvability index 3, dims {dims}")
-        _check_lower_central_lives(rep, S0, op, depth)
+        _check_lower_central_lives(rep, S0, lift, op, depth)
     else:
         # Entry degrees double per derived step; keep the span probe shallow
         # and let the witness recursion carry the depth.
-        dims, vanished, _, _ = _run_series(S0, op, min(depth, 4))
+        dims, vanished, _, _ = _run_series(S0, op, min(depth, 4), lift=lift)
         if vanished is not None:
             rep.failures.append(f"derived series vanished at {vanished}; "
                                 "the degree-bounded span should stay nonzero")

@@ -38,6 +38,12 @@ class ScalarError(ValueError):
     """Bad scalar input: unknown field spec, division by zero, ring mismatch."""
 
 
+class MatrixLabError(ValueError):
+    """Bad matrix-case input: a matrix degree, a characteristic or a witness
+    precondition that does not hold.  It lives here, not in ``matrices``, so
+    that naming it loads no matrix code."""
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

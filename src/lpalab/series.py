@@ -148,24 +148,29 @@ def _divide_content(row: dict, sign: int = 1) -> None:
 
 
 def product_span(S: Subspace, T: Subspace, pair_op: Callable, same: bool = False,
-                 symmetric: bool = False) -> Subspace:
+                 symmetric: bool = False, lift: Callable = None) -> Subspace:
     """Span of pair_op over all row pairs (bilinearity makes rows sufficient).
 
     With same=True and an alternating op only the strict upper triangle is
-    needed; a symmetric op also needs the diagonal.
+    needed; a symmetric op also needs the diagonal.  ``lift``, when given, is
+    applied once to each row of S and of T, and pair_op receives the lifted
+    rows: the matrix spans group a row into its matrix cells once here
+    rather than once per pair.  pair_op returns a plain row either way.
     """
     out = Subspace(S.field, S.key)
+    rows = S.rows if lift is None else [lift(r) for r in S.rows]
     if same:
-        n = len(S.rows)
+        n = len(rows)
         for i in range(n):
             start = i if symmetric else i + 1
             for j in range(start, n):
-                v = pair_op(S.rows[i], S.rows[j])
+                v = pair_op(rows[i], rows[j])
                 if v:
                     out.insert(v)
     else:
-        for a in S.rows:
-            for b in T.rows:
+        t_rows = T.rows if lift is None else [lift(r) for r in T.rows]
+        for a in rows:
+            for b in t_rows:
                 v = pair_op(a, b)
                 if v:
                     out.insert(v)
@@ -215,10 +220,12 @@ class SeriesReport:
 
 
 def _run_series(S0: Subspace, pair_op: Callable, max_depth, lower_central: bool = False,
-                symmetric_op: bool = False) -> tuple:
+                symmetric_op: bool = False, lift: Callable = None) -> tuple:
     """The one series loop: derived steps S_{k+1} = [S_k, S_k], or lower
     central steps S_{k+1} = [S_k, S_0]; returns (dims, vanished_at,
     witness_row, stabilized), the row None exactly when S0 is zero.
+    ``lift`` is handed to ``product_span``, so each step lifts its rows once
+    and pair_op takes lifted operands; the witness row stays a plain row.
 
     max_depth None means run until the series vanishes or stabilizes; that is
     guaranteed to happen within dim(S0) + 1 steps whenever S0 is closed under
@@ -235,7 +242,7 @@ def _run_series(S0: Subspace, pair_op: Callable, max_depth, lower_central: bool 
     for step in range(1, max_depth + 1):
         nxt = product_span(
             current, S0 if lower_central else current, pair_op,
-            same=not lower_central, symmetric=symmetric_op,
+            same=not lower_central, symmetric=symmetric_op, lift=lift,
         )
         dims.append(nxt.dim)
         if nxt.dim == 0:

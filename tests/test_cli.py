@@ -219,6 +219,36 @@ def test_corpus_isolates_unreadable_file(tmp_path, capsys):
     assert obj["summary"] == {"AGREE": 1, "CONSISTENT": 0, "FAIL": 0, "ERROR": 1}
 
 
+# A valid graph, a file that is not JSON and a graph with a dangling edge.
+CORPUS_MIXED = {
+    "a.json": '{"vertices": [{"id": "u"}, {"id": "w"}], '
+              '"edges": [{"id": "e", "src": "u", "dst": "w"}]}',
+    "b.json": '{"vertices": [',
+    "c.json": '{"vertices": [{"id": "u"}], "edges": [{"id": "e", "src": "u", "dst": "v"}]}',
+}
+
+
+def test_corpus_loads_each_file_once(tmp_path, capsys, monkeypatch):
+    import lpalab.cli as cli
+
+    for name, text in CORPUS_MIXED.items():
+        (tmp_path / name).write_text(text)
+    loads = []
+    load = cli._load_graph
+    monkeypatch.setattr(cli, "_load_graph", lambda path: loads.append(path) or load(path))
+    code, out, err = run(capsys, "corpus", "--dir", str(tmp_path))
+    # Three files and the three default fields: one load per file, not per cell.
+    assert len(loads) == 3
+    # Exit code and stdout as they were when every cell loaded its file: a
+    # file that fails to load is one ERROR entry per field, with one text.
+    assert (code, err) == (1, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "c3f45528260c371df3b76ae1860e8dc6a6b2a6264744de66fbd0ff4794f7e283"
+    entries = json.loads(out)["entries"]
+    assert [e["status"] for e in entries] == ["AGREE"] * 3 + ["ERROR"] * 6
+    assert len({e["error"] for e in entries[3:6]}) == len({e["error"] for e in entries[6:]}) == 1
+
+
 def test_text_mode(tmp_path, capsys):
     path = write_graph(tmp_path, "e3.json", e3_graph())
     code, out, _ = run(capsys, "classify", "--graph", path, "--char", "2", "--text")
@@ -327,6 +357,45 @@ def test_import_pulls_in_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+def test_only_the_matrix_command_runs_the_matrix_module(tmp_path):
+    """`import lpalab.cli`, a `verify` and the error types never run the code
+    of matrices.py; `matrix` and the package's matrix names do.  The module
+    is in sys.modules throughout, registered lazily."""
+    import os
+    import subprocess
+    import sys
+
+    import lpalab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lpalab.__file__)))
+    path = write_graph(tmp_path, "e4.json", e4_graph(2))
+    out = str(tmp_path / "verify.json")
+    code = f"""if True:
+        import sys
+        ran = []
+        sys.addaudithook(lambda event, args: event == "exec" and ran.append(
+            getattr(args[0], "co_filename", "")))
+        import lpalab, lpalab.cli
+        loaded = lambda: any(f.endswith("matrices.py") for f in ran)
+        seen = [loaded(), "lpalab.matrices" in sys.modules]
+        argv = ["verify", "--graph", {path!r}, "--field", "F2", "--out", {out!r}]
+        seen += [lpalab.cli.main(argv), loaded()]
+        seen += [lpalab.MatrixLabError is lpalab.cli.MatrixLabError,
+                 hasattr(lpalab, "no_such_name"), loaded()]
+        seen += [lpalab.cli.main(["matrix", "--case", "prop3a", "--n", "2"]), loaded()]
+        from lpalab import witness_nge3
+        from lpalab.matrices import MatrixLabError, witness_nge3 as same
+        seen += [witness_nge3 is same, MatrixLabError is lpalab.MatrixLabError]
+        print(seen)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == str([False, True, 0, False, True, False, False, 2, True,
+                               True, True]) + "\n"
+    assert proc.stderr == "error: witness_nge3 needs degree >= 3\n"
 
 
 # sha256 of the exact stdout of `lpalab matrix ...`, recorded before the

@@ -28,6 +28,7 @@ from lpalab import (
 )
 from lpalab import matrices
 from lpalab.matrices import (
+    dense,
     diagonal_closed_form,
     field_closed_forms,
     first_bracket_closed_form,
@@ -38,9 +39,12 @@ from lpalab.matrices import (
     mat,
     mat_bracket,
     mat_is_zero,
+    mat_to_vec,
+    matrix_pair_op,
+    matrix_span,
 )
 from lpalab.scalars import F2LaurentRing
-from lpalab.series import SeriesError
+from lpalab.series import SeriesError, _run_series, product_span
 from helpers import (
     assert_canonical_laurent,
     build_corpus_graph,
@@ -375,6 +379,99 @@ def test_mat_arithmetic_matches_entrywise_reference():
                     for row in bracket:
                         for entry in row:
                             assert_canonical_laurent(ring.field, entry)
+
+
+# ----------------------------------------------------------------------
+# sparse cell brackets of the corollary spans against the dense route
+
+
+def _vec_to_mat(ctx, vec):
+    """The dense matrix of a flattened span row."""
+    if not isinstance(ctx.ring, LaurentRing):
+        return dense(ctx, {(i + 1, j + 1): c for (i, j), c in vec.items()})
+    cells = {}
+    for (i, j, e), c in vec.items():
+        cells.setdefault((i + 1, j + 1), {})[e] = c
+    return dense(ctx, cells)
+
+
+def _dense_pair_op(ctx):
+    """The reference: both rows made dense, the commutator kernel, flattened."""
+    return lambda a, b: mat_to_vec(ctx, mat_bracket(ctx, _vec_to_mat(ctx, a),
+                                                    _vec_to_mat(ctx, b)))
+
+
+def test_cell_bracket_matches_dense_route():
+    # Sparse matrices of every density, so that cells meet on some inner
+    # indices and not on others; over the fields (and F2 above all) whole
+    # cells cancel to zero and must be dropped.
+    rng = random.Random(41)
+    F5 = field_from_spec("F5")
+    rings = [F2, F3, F5, Q, LaurentRing(F2), LaurentRing(F3), LaurentRing(Q)]
+    densities = [0.15, 0.3, 0.5, 0.8, 1.0]
+    for ring in rings:
+        for n in (1, 2, 3, 4):
+            ctx = MatrixRingCtx(n, ring)
+            lift, op = matrix_pair_op(ctx)
+            ref = _dense_pair_op(ctx)
+            for density in densities * 8:
+                a = mat_to_vec(ctx, _random_entry_mat(ctx, rng, density))
+                b = mat_to_vec(ctx, _random_entry_mat(ctx, rng, density))
+                assert op(lift(a), lift(b)) == ref(a, b)
+                assert op(lift(a), lift(a)) == {}
+
+
+def _steps(S0, pair_op, lift, depth, lower_central):
+    """The rows of steps 1..depth of the derived or lower central series,
+    stopping at a zero step."""
+    out, S = [], S0
+    for _ in range(depth):
+        S = product_span(S, S0 if lower_central else S, pair_op,
+                         same=not lower_central, lift=lift)
+        out.append(S.rows)
+        if not S.rows:
+            break
+    return out
+
+
+@pytest.mark.parametrize("ring_name, degree_bound", [
+    ("F2", 0), ("F3", 0), ("Q", 0),
+    *((f"{f}[x]", d) for f in ("F2", "F3", "Q") for d in (0, 1, 2, 3)),
+])
+def test_corollary_series_steps_match_dense_route(ring_name, degree_bound):
+    # The cor-field and cor-laurent spans: every step of both series has the
+    # canonical rows the dense route gives, and the series loop reports the
+    # same dims, vanishing step, witness and fixed point.
+    fld = field_from_spec(ring_name.removesuffix("[x]"))
+    ring = LaurentRing(fld) if ring_name.endswith("[x]") else fld
+    ctx = MatrixRingCtx(2, ring)
+    S0 = matrix_span(ctx, skew_matrix_basis(ctx, degree_bound))
+    lift, op = matrix_pair_op(ctx)
+    ref = _dense_pair_op(ctx)
+    # Away from characteristic 2 the Laurent entry degrees double per derived
+    # step, so those series are followed for fewer steps.
+    depth = 3 if isinstance(ring, LaurentRing) and fld.characteristic != 2 else 6
+    nonzero = 0
+    for lower_central in (False, True):
+        steps = _steps(S0, op, lift, depth, lower_central)
+        assert steps == _steps(S0, ref, None, depth, lower_central)
+        nonzero += sum(1 for rows in steps if rows)
+        assert _run_series(S0, op, depth, lower_central, lift=lift) == \
+            _run_series(S0, ref, depth, lower_central)
+    # Away from characteristic 2 a span of one matrix is abelian: the skew
+    # 2x2 matrices over a field, and over K[x, x^-1] at degree bound 0.
+    abelian = fld.characteristic != 2 and degree_bound == 0
+    assert (nonzero == 0) == abelian
+
+
+def test_cor_laurent_multiplies_through_the_laurent_ring(monkeypatch):
+    # The benchmark's traced run counts LaurentRing.mul calls on cor-laurent
+    # over F2, so its cells multiply through the ring class's own method.
+    calls = []
+    mul = LaurentRing.mul
+    monkeypatch.setattr(LaurentRing, "mul", lambda self, f, g: calls.append(1) or mul(self, f, g))
+    assert corollary_laurent_check(F2, 3, 8).ok
+    assert len(calls) > 0
 
 
 class _CountingField:
