@@ -11,6 +11,10 @@ entry ring are commutative): the bracket kernel ``mat_bracket`` cancels and
 pairs terms of AB - BA by that fact.  The series of the corollary spans
 bracket their rows as sparse cells instead (``matrix_pair_op``), since those
 rows have one or two nonzero entries.
+
+The characteristic-2 index-3 check runs on ``f2laurent.F2LaurentRing``,
+F2[x, x^-1] packed into bits, and draws its samples through
+``f2laurent._draw_masks``.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from __future__ import annotations
 import random
 
 from .algebra import LeavittAlgebra, corner_embedding, forbidden_embedding_units, unit_embedding
+from .f2laurent import F2LaurentRing, _draw_masks
 from .graphs import Graph
-from .scalars import F2LaurentRing, LaurentRing, MatrixLabError
+from .scalars import LaurentRing, MatrixLabError
 from .series import SeriesError, Subspace, _run_series
 
 
@@ -407,7 +412,14 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
 
     The entries live in ``F2LaurentRing``, F2[x, x^-1] packed into bit
     masks.  Each random coefficient is one ``rng.randrange(2)`` draw in
-    exponent order, so a seed gives the samples the dict ring drew.
+    exponent order, so a seed gives the samples the dict ring drew, but the
+    draws are read a block of words at a time (``_draw_masks``):
+    ``randrange(2)`` is one ``getrandbits(2)`` per try, the top two bits of
+    one 32-bit Mersenne Twister word, retried while they read 2 or 3.  So a
+    draw is bit 30 of the next word whose bit 31 is clear, and
+    ``getrandbits(32 * k)`` returns the next k words in order, the first one
+    lowest.  The generator is local and nothing draws after the samples, so
+    the words read past the last sample change nothing.
 
     Upper bound: for seeded random skew 8-tuples, the first-level brackets
     X_i have the closed form [[r_i, s_i], [-s_i~, -r_i]], the second-level
@@ -422,7 +434,6 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
         raise MatrixLabError("wrong characteristic: need 2")
     ring = F2LaurentRing()
     ctx = MatrixRingCtx(2, ring)
-    rng = random.Random(seed)
     rep = MatrixReport("prop3c-upper", {"samples": samples, "degree_bound": degree_bound,
                                         "seed": seed})
     rep.notes.append(
@@ -430,12 +441,10 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
         "its exact subscripting is immaterial in characteristic 2"
     )
 
+    masks = _draw_masks(random.Random(seed), 2 * degree_bound + 1)
+
     def rand_poly():
-        bits = 0
-        for i in range(2 * degree_bound + 1):
-            if rng.randrange(2):
-                bits |= 1 << i
-        return ring.from_bits(-degree_bound, bits)
+        return ring.from_bits(-degree_bound, next(masks))
 
     def rand_skew_scalar():
         h = rand_poly()
@@ -545,15 +554,20 @@ def matrix_pair_op(ctx: MatrixRingCtx) -> tuple:
     def op(A: dict, B: dict) -> dict:
         mul, add, sub, neg = ring.mul, ring.add, ring.sub, ring.neg
         out: dict = {}
+        # A_ii B_ii and B_ii A_ii cancel, so i = k = j is skipped.
         for i, row in A.items():
             for k, a in row:
                 for j, b in B.get(k, ()):
+                    if i == k == j:
+                        continue
                     p = mul(a, b)
                     x = out.get((i, j))
                     out[(i, j)] = p if x is None else add(x, p)
         for i, row in B.items():
             for k, b in row:
                 for j, a in A.get(k, ()):
+                    if i == k == j:
+                        continue
                     p = mul(b, a)
                     x = out.get((i, j))
                     out[(i, j)] = neg(p) if x is None else sub(x, p)

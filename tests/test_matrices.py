@@ -27,6 +27,7 @@ from lpalab import (
     witness_nilpotent_char2,
 )
 from lpalab import matrices
+from lpalab.f2laurent import F2LaurentRing, _draw_masks
 from lpalab.matrices import (
     dense,
     diagonal_closed_form,
@@ -43,7 +44,6 @@ from lpalab.matrices import (
     matrix_pair_op,
     matrix_span,
 )
-from lpalab.scalars import F2LaurentRing
 from lpalab.series import SeriesError, _run_series, product_span
 from helpers import (
     assert_canonical_laurent,
@@ -290,6 +290,43 @@ def test_char2_laurent_index3_reports_a_product_that_drops_its_top_term(monkeypa
     assert rep.failures[-1] == "sharpness diagonal is not (x^-1 + x) u1^2"
 
 
+def _randrange_masks(rng, width, count):
+    """count masks drawn bit by bit, one rng.randrange(2) per bit."""
+    out = []
+    for _ in range(count):
+        bits = 0
+        for i in range(width):
+            if rng.randrange(2):
+                bits |= 1 << i
+        out.append(bits)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 31 - 1])
+def test_draw_masks_are_the_randrange_stream(seed):
+    # 5,000 draws take about 10,000 words, several blocks of them.
+    masks = _draw_masks(random.Random(seed), 1)
+    rng = random.Random(seed)
+    assert [next(masks) for _ in range(5000)] == [rng.randrange(2) for _ in range(5000)]
+
+
+@pytest.mark.parametrize("seed", [3, 7, 1909])
+def test_char2_laurent_index3_draws_the_randrange_polynomials(seed, monkeypatch):
+    drawn = []
+    draw_masks = matrices._draw_masks
+
+    def recording(rng, width):
+        for mask in draw_masks(rng, width):
+            drawn.append((width, mask))
+            yield mask
+
+    monkeypatch.setattr(matrices, "_draw_masks", recording)
+    assert char2_laurent_index3_check(60, 3, seed).ok
+    # 24 polynomials a sample: a, b, c of four A and four B.
+    assert len(drawn) == 60 * 24
+    assert drawn == [(7, m) for m in _randrange_masks(random.Random(seed), 7, len(drawn))]
+
+
 def test_char2_laurent_sharpness_diagonal():
     ring = LaurentRing(F2)
     ctx = MatrixRingCtx(2, ring)
@@ -471,7 +508,21 @@ def test_cor_laurent_multiplies_through_the_laurent_ring(monkeypatch):
     mul = LaurentRing.mul
     monkeypatch.setattr(LaurentRing, "mul", lambda self, f, g: calls.append(1) or mul(self, f, g))
     assert corollary_laurent_check(F2, 3, 8).ok
-    assert len(calls) > 0
+    # 15,820 with the cancelling diagonal products A_ii B_ii and B_ii A_ii.
+    assert len(calls) == 13728
+
+
+def test_cell_bracket_skips_cancelling_diagonal_products(monkeypatch):
+    calls = []
+    mul = LaurentRing.mul
+    monkeypatch.setattr(LaurentRing, "mul", lambda self, f, g: calls.append(1) or mul(self, f, g))
+    ring = LaurentRing(F3)
+    lift, op = matrix_pair_op(MatrixRingCtx(2, ring))
+    a, b = {(0, 0, -1): 1, (0, 0, 2): 2}, {(0, 0, 1): 1, (1, 1, 0): 2}
+    assert op(lift(a), lift(b)) == {} and calls == []
+    # A_01 B_11 - B_00 A_01 is the one cell left, from two products.
+    a[(0, 1, 0)] = 1
+    assert op(lift(a), lift(b)) == {(0, 1, 0): 2, (0, 1, 1): 2} and len(calls) == 2
 
 
 class _CountingField:

@@ -12,10 +12,12 @@ from lpalab import (
     field_from_spec,
     field_of_characteristic,
 )
+from lpalab import scalars
+from lpalab.f2laurent import F2LaurentRing
 from lpalab.matrices import MatrixRingCtx, is_skew, mat, mat_bracket
-from lpalab.scalars import F2LaurentRing
 from helpers import (
     assert_canonical_laurent,
+    random_field_elem,
     random_laurent,
     ref_laurent_add,
     ref_laurent_mul,
@@ -222,6 +224,79 @@ def test_laurent_mul_rational_denominators():
     # x^0: 1/6 * 6 - 3/4 * 4/3 cancels, so exponent 0 is not stored
     assert 0 not in got and got[-3] == Fraction(2, 9) and got[1] == Fraction(15, 28)
     assert_canonical_laurent(ring.field, got)
+
+
+def _record_kronecker(monkeypatch) -> list:
+    """Wrap scalars._kronecker_mul; the list gets True for each product it
+    made and False for each it handed back to the schoolbook loop."""
+    taken = []
+    kronecker = scalars._kronecker_mul
+
+    def wrapper(f, g):
+        out = kronecker(f, g)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(scalars, "_kronecker_mul", wrapper)
+    return taken
+
+
+def _spread_laurent(fld, rng, terms, span, step, low, big=False):
+    """terms nonzero coefficients at distinct exponents low + step * i,
+    0 <= i < span; big gives rationals with 160-bit numerators."""
+    out = {}
+    for i in rng.sample(range(span), terms):
+        c = fld.zero
+        while fld.is_zero(c):
+            c = (Fraction(rng.getrandbits(160) - 2 ** 159, rng.randint(1, 9)) if big
+                 else random_field_elem(fld, rng))
+        out[low + step * i] = c
+    return out
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=repr)
+def test_laurent_mul_kronecker_matches_schoolbook(fld, monkeypatch):
+    # Dense and sparse factors with negative exponents, exponent steps 1-3
+    # and one-term operands, on both sides of the packing guard.
+    rng = random.Random(77)
+    ring = LaurentRing(fld)
+    taken = _record_kronecker(monkeypatch)
+    sizes = (1, 2, 17, 33, 48, 70)
+    for case in range(40):
+        step, big = rng.randint(1, 3), fld.characteristic == 0 and case % 2 == 1
+        f, g = (_spread_laurent(fld, rng, n, n * rng.choice((1, 1, 2, 6)), step,
+                                rng.randint(-90, 10), big)
+                for n in (rng.choice(sizes), rng.choice(sizes)))
+        got = ring.mul(f, g)
+        assert got == ref_laurent_mul(fld, f, g)
+        assert_canonical_laurent(fld, got)
+    assert True in taken and False in taken
+
+
+@pytest.mark.parametrize("fld", [field_from_spec("Q"), PrimeField(8191)], ids=repr)
+def test_laurent_mul_kronecker_slots_hold_the_largest_sums(fld, monkeypatch):
+    # All-equal coefficients of the largest size for their bit length put
+    # 63 equal products into the middle slots, the most a slot is sized
+    # for.  Over Q the slot widths bf + bg + 7 take every residue mod 8, so
+    # a slot one bit narrower loses a byte in some case; the signs test the
+    # bias.  Over F_p, p = 2^13 - 1, the width is 13 + 13 + 7 = 33 bits.
+    ring = LaurentRing(fld)
+    taken = _record_kronecker(monkeypatch)
+    if fld.characteristic == 0:
+        cases = [(sf * (2 ** bf - 1), sg * (2 ** bg - 1)) for bf in range(1, 18)
+                 for bg in (bf, bf + 1) for sf, sg in ((1, 1), (-1, 1), (-1, -1))]
+    else:
+        cases = [(fld.p - 1, fld.p - 1)]
+    for c, d in cases:
+        f = {-70 + 2 * i: fld.from_int(c) for i in range(63)}
+        g = {5 + 2 * j: fld.from_int(d) for j in range(127)}
+        pairs_at = {}
+        for i in range(63):
+            for j in range(127):
+                pairs_at[i + j] = pairs_at.get(i + j, 0) + 1
+        want = {-65 + 2 * k: fld.from_int(c * d * n) for k, n in pairs_at.items()}
+        assert ring.mul(f, g) == want
+    assert taken == [True] * len(cases)
 
 
 F2 = field_from_spec("F2")
