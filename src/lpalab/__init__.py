@@ -44,8 +44,6 @@ from .series import (
     SeriesError,
     SeriesReport,
     Subspace,
-    element_pair_op,
-    element_subspace,
     product_span,
     solvability_probe,
 )

@@ -22,6 +22,12 @@ matrix rings (keys are entry coordinates, possibly with a Laurent exponent).
 Path-algebra probes over Q run on ``Z``: products and elimination stay
 fraction-free (in the manner of Bareiss, Math. Comp. 22, 1968), and only the
 witness row is turned back into its monic rational form for display.
+
+The probe's rows are skew (x* = -x) or symmetric (x* = x), so it keeps each
+only on H = {m : key(m) <= key(m*)} (len(lam) > len(nu), or equal and
+lam <= nu): the m* term repeats the m term, negated on skew rows away from
+characteristic 2, which fix no m = m*; and a row's least key lies in H, so a
+reduced echelon basis projects onto that of the projected span.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ class Subspace:
     in another, so a reduction is one pass over the vector's pivot columns.
 
     Rows are monic over a field and primitive with a positive pivot over
-    ``Z`` (see the module docstring); both forms are unique for a given span.
+    ``Z``: unique for a span, and kept so by the probe's projection onto H.
     """
 
     __slots__ = ("field", "key", "rows", "_pivot_keys", "_pivot_row")
@@ -153,9 +159,9 @@ def product_span(S: Subspace, T: Subspace, pair_op: Callable, same: bool = False
 
     With same=True and an alternating op only the strict upper triangle is
     needed; a symmetric op also needs the diagonal.  ``lift``, when given, is
-    applied once to each row of S and of T, and pair_op receives the lifted
-    rows: the matrix spans group a row into its matrix cells once here
-    rather than once per pair.  pair_op returns a plain row either way.
+    applied once to each row of S and of T, not once per pair, and pair_op
+    receives the lifted rows: matrix spans group a row into cells, the probe
+    rebuilds a half row whole.  pair_op returns a plain row either way.
     """
     out = Subspace(S.field, S.key)
     rows = S.rows if lift is None else [lift(r) for r in S.rows]
@@ -260,25 +266,6 @@ def _run_series(S0: Subspace, pair_op: Callable, max_depth, lower_central: bool 
 # path-algebra front end
 
 
-def element_subspace(algebra: LeavittAlgebra, elements) -> Subspace:
-    """Canonical span of path-algebra elements (rows are term dicts)."""
-    s = Subspace(algebra.field, mono_order_key)
-    for el in elements:
-        algebra._require_context(el)
-        s.insert(el.terms)
-    return s
-
-
-def element_pair_op(product: Callable) -> Callable:
-    """Row-level form of a bound ``algebra.bracket`` or ``algebra.circle``."""
-    algebra = product.__self__
-
-    def dict_op(a: dict, b: dict) -> dict:
-        return product(Element(algebra, a), Element(algebra, b)).terms
-
-    return dict_op
-
-
 def solvability_probe(graph: Graph, fld, structure: str = "lie", mode: str = "exact",
                       weight: int = 6, max_depth=8) -> SeriesReport:
     """Build the skew (Lie) or symmetric (Jordan) span and run its derived
@@ -292,10 +279,9 @@ def solvability_probe(graph: Graph, fld, structure: str = "lie", mode: str = "ex
     after max_depth steps, but never clips products, so every nonzero step
     is a genuine lower bound while a vanishing step is only evidence.
 
-    Over Q the series runs on integer rows (the generators have coefficients
-    +-1, so every product stays integral); the witness row is divided by its
-    pivot coefficient into the monic rational row of the same span, which the
-    Z algebra formats: ``format_element`` reads only graph and characteristic.
+    Over Q the rows are integer (the generators have coefficients +-1); the
+    witness is lifted off H, then made monic over Q and formatted by the Z
+    algebra: ``format_element`` reads only graph and characteristic.
     """
     from .exprs import format_element
 
@@ -318,11 +304,27 @@ def solvability_probe(graph: Graph, fld, structure: str = "lie", mode: str = "ex
         gens, product = algebra.skew_generators(weight), algebra.bracket
     else:
         gens, product = algebra.symmetric_generators(weight), algebra.circle
+    f = algebra.field
+    keep_sign = structure == "jordan" or f.characteristic == 2
+
+    # Rows keep only their terms on H (module docstring); lift restores m*.
+    def half(row: dict) -> dict:
+        return row and {m: c for m, c in row.items()
+                        if len(m[0]) > len(m[1]) or len(m[0]) == len(m[1]) and m[0] <= m[1]}
+
+    def lift(row: dict) -> dict:
+        return row | {(nu, lam, v): c if keep_sign else f.sub(f.zero, c)
+                      for (lam, nu, v), c in row.items()}
+
+    S0 = Subspace(f, mono_order_key)
+    for g in gens:
+        S0.insert(half(g.terms))
     dims, vanished, witness, stabilized = _run_series(
-        element_subspace(algebra, gens), element_pair_op(product), max_depth,
-        symmetric_op=structure == "jordan")
+        S0, lambda a, b: half(product(Element(algebra, a), Element(algebra, b)).terms),
+        max_depth, symmetric_op=structure == "jordan", lift=lift)
     text = None
     if witness is not None:
+        witness = lift(witness)
         if rational:
             d = witness[min(witness, key=mono_order_key)]
             witness = {k: Fraction(c, d) for k, c in witness.items()}

@@ -2,7 +2,8 @@
 
 from itertools import combinations_with_replacement, permutations
 
-from lpalab import LeavittAlgebra, graph_from_lists
+from lpalab import Element, LeavittAlgebra, Subspace, graph_from_lists
+from lpalab.algebra import mono_order_key
 
 
 def e1_graph():
@@ -52,6 +53,30 @@ def f2_graph():
 
 def f3_graph():
     return graph_from_lists(["a", "v"], [("e", "a", "v"), ("f", "a", "v")])
+
+
+# ----------------------------------------------------------------------
+# the full-row reference path: whole skew or symmetric rows, one bracket or
+# circle per pair, against which the half-row probe is tested
+
+
+def element_subspace(algebra: LeavittAlgebra, elements) -> Subspace:
+    """Canonical span of path-algebra elements (rows are term dicts)."""
+    s = Subspace(algebra.field, mono_order_key)
+    for el in elements:
+        algebra._require_context(el)
+        s.insert(el.terms)
+    return s
+
+
+def element_pair_op(product):
+    """Row-level form of a bound ``algebra.bracket`` or ``algebra.circle``."""
+    algebra = product.__self__
+
+    def dict_op(a: dict, b: dict) -> dict:
+        return product(Element(algebra, a), Element(algebra, b)).terms
+
+    return dict_op
 
 
 def random_field_elem(fld, rng):

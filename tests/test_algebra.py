@@ -26,6 +26,7 @@ from helpers import (
     e3_graph,
     e4_graph,
     e5_graph,
+    element_subspace,
     f1_path_graph,
     f2_graph,
     f3_graph,
@@ -253,8 +254,6 @@ def test_symmetric_generators_examples():
     # 3 because e1 e1* rewrites to u.
     a1 = LeavittAlgebra(e4_graph(1), Q)
     gens = a1.symmetric_generators(2)
-    from lpalab import element_subspace
-
     spanned = element_subspace(a1, gens)
     assert spanned.dim == 3
     listed = [a1.vertex("u"), a1.vertex("u1"), a1.path_pair(["e1"], ["e1"]),

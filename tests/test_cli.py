@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lpalab import ModeUnavailableError, cross_validate, field_from_spec
+from lpalab import ModeUnavailableError, cross_validate, field_from_spec, graph_from_lists
 from lpalab.cli import build_parser, main
 from helpers import e1_graph, e3_graph, e4_graph, f1_path_graph, f3_graph
 
@@ -397,6 +397,36 @@ def test_only_the_matrix_command_runs_the_matrix_module(tmp_path):
     assert proc.stdout == str([False, True, 0, False, True, False, False, 2, True,
                                True, True]) + "\n"
     assert proc.stderr == "error: witness_nge3 needs degree >= 3\n"
+
+
+@pytest.mark.parametrize("graph, rest", [
+    (e3_graph, ("--mode", "truncated", "--weight", "6", "--depth", "3")),
+    (lambda: graph_from_lists(["a", "b", "v"], [
+        ("e1", "a", "v"), ("e2", "a", "v"), ("e3", "a", "b"), ("e4", "b", "v"),
+        ("e5", "b", "v")], infinite=["a"]), ("--mode", "exact")),
+], ids=["E3-truncated", "flagged-acyclic-exact"])
+def test_verify_bytes_do_not_depend_on_the_hash_seed(tmp_path, graph, rest):
+    """Two processes with different string hashing print the same bytes, so
+    no set or dict order of strings leaks into the output on any Python."""
+    import os
+    import subprocess
+    import sys
+
+    import lpalab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lpalab.__file__)))
+    path = write_graph(tmp_path, "g.json", graph())
+    code = "import sys, lpalab.cli; sys.exit(lpalab.cli.main(sys.argv[1:]))"
+    outs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "verify", "--graph", path, "--field", "F3", *rest],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["probe"]["dims"]
 
 
 # sha256 of the exact stdout of `lpalab matrix ...`, recorded before the

@@ -15,8 +15,6 @@ from lpalab import (
     SeriesReport,
     Subspace,
     cross_validate,
-    element_pair_op,
-    element_subspace,
     field_from_spec,
     find_cycle_with_exit,
     find_forbidden_subgraph,
@@ -35,6 +33,8 @@ from helpers import (
     e3_graph,
     e4_graph,
     e5_graph,
+    element_pair_op,
+    element_subspace,
     f1_path_graph,
     f2_graph,
     f3_graph,
@@ -45,6 +45,7 @@ from helpers import (
 Q = field_from_spec("Q")
 F2 = field_from_spec("F2")
 F3 = field_from_spec("F3")
+F5 = field_from_spec("F5")
 
 
 def test_span_examples():
@@ -436,17 +437,18 @@ def test_exact_fixed_point_independent_of_declaration_order(nv, edges, flagged, 
     assert all(a != b for a, b in zip(dims[:-2], dims[1:-1]))
 
 
-def _reference_probe(g, structure, mode, weight, max_depth):
-    """What solvability_probe computes over Q, run on monic Fraction rows:
-    the series over a Q-field Subspace, its witness formatted as is."""
-    alg = LeavittAlgebra(g, Q)
+def _reference_probe(g, fld, structure, mode, weight, max_depth):
+    """What solvability_probe computes, run on whole rows: the series of the
+    full skew or symmetric span with one bracket or circle per pair, over
+    fld itself (monic Fraction rows over Q), its witness formatted as is."""
+    alg = LeavittAlgebra(g, fld)
     bound = None if mode == "exact" else weight
     if structure == "lie":
         gens, op = alg.skew_generators(bound), alg.bracket
     else:
         gens, op = alg.symmetric_generators(bound), alg.circle
     S0 = element_subspace(alg, gens)
-    assert S0.field is Q
+    assert S0.field is fld
     dims, vanished, witness, stabilized = _run_series(
         S0, element_pair_op(op), max_depth, symmetric_op=structure == "jordan")
     return SeriesReport(
@@ -456,16 +458,16 @@ def _reference_probe(g, structure, mode, weight, max_depth):
     )
 
 
-def _assert_probe_matches_reference(g, structure, mode, weight, max_depth):
-    got = solvability_probe(g, Q, structure, mode, weight=weight, max_depth=max_depth)
-    want = _reference_probe(g, structure, mode, weight, max_depth)
+def _assert_probe_matches_reference(g, fld, structure, mode, weight, max_depth):
+    got = solvability_probe(g, fld, structure, mode, weight=weight, max_depth=max_depth)
+    want = _reference_probe(g, fld, structure, mode, weight, max_depth)
     assert (got.dims, got.vanished_at, got.stabilized, got.witness_text) == (
         want.dims, want.vanished_at, want.stabilized, want.witness_text)
     assert got.to_json_obj() == want.to_json_obj()
     return got
 
 
-def test_probe_over_q_matches_fraction_reference_acyclic():
+def _assert_random_acyclic_probes_match_reference(fld):
     # Seeded random acyclic graphs, declaration order shuffled, with and
     # without an infinite emitter; exact and truncated, Lie and Jordan.
     rng = random.Random(6)
@@ -479,10 +481,21 @@ def test_probe_over_q_matches_fraction_reference_acyclic():
         for structure in ("lie", "jordan"):
             for mode, weight, depth in (("exact", 6, None), ("truncated", 2, 3),
                                         ("truncated", 3, 1)):
-                rep = _assert_probe_matches_reference(g, structure, mode, weight, depth)
+                rep = _assert_probe_matches_reference(g, fld, structure, mode, weight, depth)
                 outcomes.add((rep.vanished_at is not None, rep.stabilized))
     # Vanishing, stabilizing and depth-capped series all occurred.
     assert outcomes == {(True, False), (False, True), (False, False)}
+
+
+def test_probe_over_q_matches_fraction_reference_acyclic():
+    _assert_random_acyclic_probes_match_reference(Q)
+
+
+@pytest.mark.parametrize("fld", [F2, F3, F5], ids=repr)
+def test_half_row_probe_matches_full_row_reference_acyclic(fld):
+    # The probe keeps each row on the monomials m <= m*; the reference keeps
+    # whole rows.  F2 has fixed monomials in skew rows, F3 and F5 negate.
+    _assert_random_acyclic_probes_match_reference(fld)
 
 
 CYCLIC = {"E3": e3_graph, "rose2": lambda: rose_graph(2), "E5(1)": lambda: e5_graph(1)}
@@ -499,9 +512,23 @@ CYCLIC = {"E3": e3_graph, "rose2": lambda: rose_graph(2), "E5(1)": lambda: e5_gr
 ])
 def test_probe_over_q_matches_fraction_reference_cyclic(name, structure, weight, depth,
                                                         fractional):
-    rep = _assert_probe_matches_reference(CYCLIC[name](), structure, "truncated", weight, depth)
+    rep = _assert_probe_matches_reference(CYCLIC[name](), Q, structure, "truncated", weight,
+                                          depth)
     # The Lie witnesses carry non-integer coefficients once made monic.
     assert ("/" in rep.witness_text) == fractional
+
+
+@pytest.mark.parametrize("fld", [F2, F3, F5], ids=repr)
+@pytest.mark.parametrize("name, structure, weight, depth", [
+    ("E3", "lie", 4, 3),
+    ("E3", "jordan", 4, 3),
+    ("rose2", "lie", 1, 2),
+    ("rose2", "jordan", 2, 1),
+    ("E5(1)", "lie", 3, 3),
+    ("E5(1)", "jordan", 3, 3),
+])
+def test_half_row_probe_matches_full_row_reference_cyclic(name, structure, weight, depth, fld):
+    _assert_probe_matches_reference(CYCLIC[name](), fld, structure, "truncated", weight, depth)
 
 
 def test_truncation_monotone_in_weight():
