@@ -375,41 +375,7 @@ class LeavittAlgebra:
 
 
 # ----------------------------------------------------------------------
-# matrix-unit families and their verification
-
-
-def verify_matrix_units(algebra: LeavittAlgebra, units: dict) -> list:
-    """Check a family {(i, j): Element} for the full matrix-unit relations.
-
-    Verifies u_ij u_kl = delta_jk u_il for all index pairs, that the diagonal
-    sum is idempotent, and that the star maps u_ij to u_ji (compatibility with
-    the transpose involution).  Returns a list of failure descriptions; empty
-    means all identities hold.
-    """
-    n = max(i for (i, _) in units)
-    failures = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if (i, j) not in units:
-                failures.append(f"missing unit ({i},{j})")
-    if failures:
-        return failures
-    zero = algebra.zero()
-    for (i, j), u in units.items():
-        for (k, l), w in units.items():
-            prod = algebra.multiply(u, w)
-            expect = units[(i, l)] if j == k else zero
-            if prod != expect:
-                failures.append(f"u[{i}{j}]*u[{k}{l}] != {'u[' + str(i) + str(l) + ']' if j == k else '0'}")
-    diag = zero
-    for i in range(1, n + 1):
-        diag = algebra.add(diag, units[(i, i)])
-    if algebra.multiply(diag, diag) != diag:
-        failures.append("diagonal sum not idempotent")
-    for (i, j), u in units.items():
-        if algebra.involute(u) != units[(j, i)]:
-            failures.append(f"involute(u[{i}{j}]) != u[{j}{i}]")
-    return failures
+# the matrix-unit family of a witness
 
 
 def forbidden_embedding_units(algebra: LeavittAlgebra, witness) -> dict:

@@ -55,8 +55,11 @@ COUNT = _int_at_least(1)
 
 
 def _load_graph(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError:
+        raise GraphError(f"{path}: not UTF-8 text") from None
     return validate_graph(raw)
 
 

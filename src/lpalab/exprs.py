@@ -80,7 +80,7 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Recursive descent over (scalar, element-or-None) values."""
+    """Recursive descent over values that are field scalars or Elements."""
 
     def __init__(self, algebra: LeavittAlgebra, text: str):
         self.alg = algebra
@@ -105,35 +105,28 @@ class _Parser:
         kind, _, p = self.peek()
         if kind != "end":
             raise ExprError("trailing input", p)
-        if val[1] is None:
-            # the algebra has no unit, so a bare scalar only means zero
-            if self.alg.field.is_zero(val[0]):
-                return self.alg.zero()
-            raise ExprError("expression has no algebra factor", pos)
-        return self.materialize(val)
-
-    def materialize(self, val) -> Element:
-        c, el = val
-        return self.alg.scale(c, el)
+        if isinstance(val, Element):
+            return val
+        # the algebra has no unit, so a bare scalar only means zero
+        if self.alg.field.is_zero(val):
+            return self.alg.zero()
+        raise ExprError("expression has no algebra factor", pos)
 
     def expr(self):
         val, pos = self.term()
         while True:
-            kind, op, p = self.peek()
-            if kind == "op" and op in "+-":
-                self.take()
-                rhs, rpos = self.term()
-                if (val[1] is None) != (rhs[1] is None):
-                    raise ExprError("cannot add a bare scalar to an algebra element", rpos)
-                if val[1] is None:
-                    c = self.alg.field.add(val[0], rhs[0] if op == "+" else self.alg.field.neg(rhs[0]))
-                    val = (c, None)
-                else:
-                    a = self.materialize(val)
-                    b = self.materialize(rhs)
-                    val = (self.alg.field.one, a + b if op == "+" else a - b)
-            else:
+            kind, op, _ = self.peek()
+            if kind != "op" or op not in "+-":
                 return val, pos
+            self.take()
+            rhs, rpos = self.term()
+            if isinstance(val, Element) != isinstance(rhs, Element):
+                raise ExprError("cannot add a bare scalar to an algebra element", rpos)
+            if isinstance(val, Element):
+                val = val + rhs if op == "+" else val - rhs
+            else:
+                f = self.alg.field
+                val = f.add(val, rhs) if op == "+" else f.sub(val, rhs)
 
     def term(self):
         val, pos = self.factor()
@@ -147,24 +140,18 @@ class _Parser:
                 return val, pos
 
     def mul(self, a, b):
-        f = self.alg.field
-        ca, ea = a
-        cb, eb = b
-        c = f.mul(ca, cb)
-        if ea is None and eb is None:
-            return (c, None)
-        if ea is None:
-            return (c, eb)
-        if eb is None:
-            return (c, ea)
-        return (c, self.alg.multiply(ea, eb))
+        if isinstance(a, Element):
+            return self.alg.multiply(a, b) if isinstance(b, Element) else self.alg.scale(b, a)
+        if isinstance(b, Element):
+            return self.alg.scale(a, b)
+        return self.alg.field.mul(a, b)
 
     def factor(self):
         kind, val, pos = self.take()
         f = self.alg.field
         if kind == "op" and val == "-":
             inner, _ = self.factor()
-            return (f.neg(inner[0]), inner[1]), pos
+            return (-inner if isinstance(inner, Element) else f.neg(inner)), pos
         if kind == "num":
             nxt_kind, nxt_val, _ = self.peek()
             if nxt_kind == "op" and nxt_val == "/":
@@ -172,32 +159,29 @@ class _Parser:
                 dkind, dval, dpos = self.take()
                 if dkind != "num":
                     raise ExprError("expected denominator", dpos)
-                return (f.parse(f"{val}/{dval}"), None), pos
-            return (f.parse(val), None), pos
+                return f.parse(f"{val}/{dval}"), pos
+            return f.parse(val), pos
         if kind == "ident":
-            return (f.one, self.atom(val, pos)), pos
+            return self.atom(val, pos), pos
         if kind == "op" and val == "(":
             inner, _ = self.expr()
             self.expect(")")
             return inner, pos
         if kind == "op" and val == "[":
-            x, y = self.pair("]")
-            return (f.one, self.alg.bracket(x, y)), pos
+            return self.alg.bracket(*self.pair("]")), pos
         if kind == "op" and val == "{":
-            x, y = self.pair("}")
-            return (f.one, self.alg.circle(x, y)), pos
+            return self.alg.circle(*self.pair("}")), pos
         raise ExprError(f"unexpected token {val!r}", pos)
 
     def pair(self, closer: str):
-        xv, xp = self.expr()
-        if xv[1] is None:
-            raise ExprError("expected an algebra element", xp)
-        self.expect(",")
-        yv, yp = self.expr()
-        if yv[1] is None:
-            raise ExprError("expected an algebra element", yp)
-        self.expect(closer)
-        return self.materialize(xv), self.materialize(yv)
+        out = []
+        for sep in (",", closer):
+            val, pos = self.expr()
+            if not isinstance(val, Element):
+                raise ExprError("expected an algebra element", pos)
+            self.expect(sep)
+            out.append(val)
+        return out
 
     def atom(self, ident: str, pos: int) -> Element:
         g = self.alg.graph

@@ -103,17 +103,23 @@ def validate_graph(raw) -> Graph:
         raise GraphError("graph description must be a JSON object")
     vs = raw.get("vertices", [])
     es = raw.get("edges", [])
+    for key, value in (("vertices", vs), ("edges", es)):
+        if not isinstance(value, list):
+            raise GraphError(f"{key} must be a JSON array")
     if not vs:
         raise GraphError("empty vertex set")
     vertices = []
     for item in vs:
         if isinstance(item, str):
             vertices.append(Vertex(item))
-        else:
-            try:
-                vertices.append(Vertex(str(item["id"]), bool(item.get("infinite_emitter", False))))
-            except (TypeError, KeyError) as exc:
-                raise GraphError(f"bad vertex entry: {item!r}") from exc
+            continue
+        try:
+            vid, flag = str(item["id"]), item.get("infinite_emitter", False)
+        except (TypeError, KeyError) as exc:
+            raise GraphError(f"bad vertex entry: {item!r}") from exc
+        if not isinstance(flag, bool):
+            raise GraphError(f"infinite_emitter must be true or false: {item!r}")
+        vertices.append(Vertex(vid, flag))
     seen = set()
     for v in vertices:
         if v.id in seen:
@@ -380,44 +386,29 @@ def decompose_components(g: Graph) -> list:
     return out
 
 
-class Card(NamedTuple):
-    """Cardinality descriptor: a materialized count, possibly marked infinite."""
-
-    count: int
-    infinite: bool = False
-
-    def __str__(self):
-        return "infinite" if self.infinite else str(self.count)
-
-    def to_json_obj(self):
-        return "infinite" if self.infinite else self.count
-
-
 class PatternClass(NamedTuple):
     """Result of matching one weak component against the six star shapes.
 
-    kind None means no match.  sink_count / loop_count describe the star's
-    children.  When the center carries the infinite-emitter flag the component
-    stands for a star with infinitely many children; the materialized counts
-    stay exact and the flag is recorded on the sink descriptor for E4/E6 and
-    the loop descriptor for E5 (index tables only consult the disjunction).
+    kind None means no match.  sink_count and loop_count count the star's
+    children.  When the center carries the infinite-emitter flag the
+    component stands for a star with infinitely many children: the counts
+    stay the materialized ones, ``infinite`` is set, and the JSON form
+    prints "infinite" for the sinks of E4/E6 and the loops of E5.
     """
 
     kind: Optional[str]
     center: Optional[str] = None
-    sink_count: Card = Card(0)
-    loop_count: Card = Card(0)
-
-    @property
-    def infinite(self) -> bool:
-        return self.sink_count.infinite or self.loop_count.infinite
+    sink_count: int = 0
+    loop_count: int = 0
+    infinite: bool = False
 
     def to_json_obj(self) -> dict:
+        on_sinks = self.infinite and self.kind != "E5"
         return {
             "kind": self.kind,
             "center": self.center,
-            "sinks": self.sink_count.to_json_obj(),
-            "loops": self.loop_count.to_json_obj(),
+            "sinks": "infinite" if on_sinks else self.sink_count,
+            "loops": "infinite" if self.infinite and not on_sinks else self.loop_count,
         }
 
 
@@ -482,11 +473,5 @@ def match_pattern(c: Graph) -> PatternClass:
     ns, nl = len(sink_children), len(loop_children)
     if ns + nl != len(star):
         return _NO_MATCH
-    flagged = u.infinite_emitter
-    if ns and not nl:
-        return PatternClass("E4", u.id, Card(ns, flagged), Card(0))
-    if nl and not ns:
-        return PatternClass("E5", u.id, Card(0), Card(nl, flagged))
-    if ns and nl:
-        return PatternClass("E6", u.id, Card(ns, flagged), Card(nl, False))
-    return _NO_MATCH
+    kind = "E6" if ns and nl else "E4" if ns else "E5"
+    return PatternClass(kind, u.id, ns, nl, u.infinite_emitter)

@@ -5,16 +5,16 @@ path algebras as the non-solvability certificates.
 
 Matrices are tuples of tuples of ring values, manipulated through the ring
 object so the same code serves field entries and Laurent entries.  They are
-built from their nonzero entries {(i, j): x}, 1-indexed, by ``dense``; ``mat``
-takes a whole grid and checks its shape.  Entries must commute (both kinds of
-entry ring are commutative): the bracket kernel ``mat_bracket`` cancels and
-pairs terms of AB - BA by that fact.  The series of the corollary spans
-bracket their rows as sparse cells instead (``matrix_pair_op``), since those
-rows have one or two nonzero entries.
+built from their nonzero entries {(i, j): x}, 1-indexed, by ``dense``.
+Entries must commute (both kinds of entry ring are commutative): the bracket
+kernel ``mat_bracket`` cancels and pairs terms of AB - BA by that fact.  The
+series of the corollary spans bracket their rows as sparse cells instead
+(``matrix_pair_op``), since those rows have one or two nonzero entries.
 
-The characteristic-2 index-3 check runs on ``f2laurent.F2LaurentRing``,
-F2[x, x^-1] packed into bits, and draws its samples through
-``f2laurent._draw_masks``.
+The characteristic-2 index-3 check runs on ``F2LaurentRing``, F2[x, x^-1]
+packed into bits (addition is XOR there and the product carry-less), and
+draws its samples through ``_draw_masks``; everything that reads
+exponent-coefficient pairs keeps the dict ring ``scalars.LaurentRing``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 
 from .algebra import LeavittAlgebra, corner_embedding, forbidden_embedding_units, unit_embedding
-from .f2laurent import F2LaurentRing, _draw_masks
 from .graphs import Graph
 from .scalars import LaurentRing, MatrixLabError
 from .series import SeriesError, Subspace, _run_series
@@ -39,13 +38,6 @@ class MatrixRingCtx:
             raise MatrixLabError("matrix degree must be >= 1")
         self.n = n
         self.ring = ring
-
-
-def mat(ctx: MatrixRingCtx, rows) -> tuple:
-    rows = tuple(tuple(r) for r in rows)
-    if len(rows) != ctx.n or any(len(r) != ctx.n for r in rows):
-        raise MatrixLabError(f"expected a {ctx.n}x{ctx.n} matrix")
-    return rows
 
 
 def dense(ctx: MatrixRingCtx, entries: dict) -> tuple:
@@ -96,12 +88,6 @@ def mat_bracket(ctx, A, B):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_involution(ctx, A):
-    """Transpose with the entry involution applied; an anti-automorphism."""
-    inv = ctx.ring.involute
-    return tuple(tuple(inv(A[j][i]) for j in range(ctx.n)) for i in range(ctx.n))
 
 
 def mat_is_zero(ctx, A) -> bool:
@@ -369,6 +355,113 @@ def laurent_corner_certificate(graph: Graph, fld, entry_edge: str, cycle_edges,
 # characteristic-2 Laurent checks
 
 
+class F2LaurentRing:
+    """F2[x, x^-1] packed into bits, with the involution x -> x^-1.
+
+    A value is a pair (low, mask) standing for x^low times the sum of x^i
+    over the set bits i of mask.  mask is odd, so low is the least exponent,
+    and zero is (0, 0): tuple equality is polynomial equality.  In
+    characteristic 2 a sum is one XOR of the aligned masks and a product is
+    carry-less, the XOR of shifted copies of one mask, one per set bit of
+    the other.  Values print as ``LaurentRing(F2)`` prints them.
+    """
+
+    characteristic = 2
+    zero = (0, 0)
+    one = (0, 1)
+
+    def __repr__(self):
+        return "F2[x,x^-1]"
+
+    def x(self) -> tuple:
+        return (1, 1)
+
+    def from_bits(self, low: int, bits: int) -> tuple:
+        """x^low times the sum of x^i over the set bits i of bits."""
+        if not bits:
+            return (0, 0)
+        t = (bits & -bits).bit_length() - 1
+        return (low + t, bits >> t)
+
+    def add(self, f: tuple, g: tuple) -> tuple:
+        lf, mf = f
+        lg, mg = g
+        if not mf:
+            return g
+        if not mg:
+            return f
+        # The shifted mask has bit 0 clear, so the sum keeps the lower end.
+        if lf < lg:
+            return (lf, mf ^ (mg << (lg - lf)))
+        if lg < lf:
+            return (lg, mg ^ (mf << (lf - lg)))
+        return self.from_bits(lf, mf ^ mg)
+
+    sub = add
+
+    def neg(self, f: tuple) -> tuple:
+        return f
+
+    def mul(self, f: tuple, g: tuple) -> tuple:
+        lf, mf = f
+        lg, mg = g
+        if not mf or not mg:
+            return (0, 0)
+        if mf.bit_count() > mg.bit_count():
+            mf, mg = mg, mf
+        acc = 0
+        while mf:
+            bit = mf & -mf
+            acc ^= mg * bit  # mg shifted up to the position of bit
+            mf ^= bit
+        # Both masks are odd, so bit 0 of the product is 1 * 1.
+        return (lf + lg, acc)
+
+    def involute(self, f: tuple) -> tuple:
+        low, mask = f
+        if not mask:
+            return f
+        # x^low m(x) -> x^-low m(1/x) = x^-(low + d) (x^d m(1/x)) with d = deg m,
+        # and x^d m(1/x) is m with its d + 1 bits reversed.
+        return (1 - low - mask.bit_length(), int(bin(mask)[:1:-1], 2))
+
+    def is_zero(self, f: tuple) -> bool:
+        return not f[1]
+
+    def to_str(self, f: tuple) -> str:
+        e, mask = f
+        if not mask:
+            return "0"
+        parts = []
+        while mask:
+            if mask & 1:
+                parts.append("1" if e == 0 else "x" if e == 1 else f"x^{e}")
+            mask >>= 1
+            e += 1
+        return " + ".join(parts)
+
+
+# The top byte of a 32-bit word as a draw: deleted when its bit 7 (the word's
+# bit 31) is set, else the ASCII digit of its bit 6 (the word's bit 30).
+_DRAW_DIGITS = bytes(48 + (b >> 6 & 1) for b in range(256))
+_REJECTED = bytes(range(128, 256))
+
+
+def _draw_masks(rng: random.Random, width: int):
+    """Endless width-bit masks whose bit i is the i-th of width successive
+    ``rng.randrange(2)`` draws, read from blocks of ``getrandbits`` words;
+    ``char2_laurent_index3_check`` gives the argument.  Blocks are
+    read ahead, so ``rng`` ends up past the draws handed out."""
+    words, buf, pos = 2048, b"", 0
+    while True:
+        if len(buf) - pos < width:
+            block = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            buf, pos = buf[pos:] + block[3::4].translate(_DRAW_DIGITS, _REJECTED), 0
+            continue
+        yield int(buf[pos:pos + width][::-1] or b"0", 2)
+        pos += width
+
+
 def _skew_entries(A):
     """(a, b, c) for a skew A = [[a, b], [-b~, c]]; the caller checks skewness."""
     return A[0][0], A[0][1], A[1][1]
@@ -382,7 +475,7 @@ def first_bracket_closed_form(ctx: MatrixRingCtx, A, B):
     u, v, w = _skew_entries(B)
     r = ring.sub(ring.mul(ring.involute(b), v), ring.mul(b, ring.involute(v)))
     s = ring.add(ring.mul(v, ring.sub(a, c)), ring.mul(b, ring.sub(w, u)))
-    return mat(ctx, [[r, s], [ring.neg(ring.involute(s)), ring.neg(r)]])
+    return ((r, s), (ring.neg(ring.involute(s)), ring.neg(r)))
 
 
 def diagonal_closed_form(ctx: MatrixRingCtx, A1, B1, A2, B2):
@@ -451,7 +544,7 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
         return ring.add(h, ring.involute(h))
 
     def skew_mat(a, b, c):
-        return mat(ctx, [[a, b], [ring.neg(ring.involute(b)), c]])
+        return ((a, b), (ring.neg(ring.involute(b)), c))
 
     for idx in range(samples):
         As = []

@@ -8,8 +8,6 @@ from fractions import Fraction
 from lpalab import (
     LaurentRing,
     LeavittAlgebra,
-    MatrixRingCtx,
-    char2_laurent_index3_check,
     classify,
     field_from_spec,
     find_cycle_with_exit,
@@ -17,12 +15,16 @@ from lpalab import (
     forbidden_embedding_units,
     is_acyclic,
     solvability_probe,
-    verify_matrix_units,
+)
+from lpalab.matrices import (
+    MatrixRingCtx,
+    char2_laurent_index3_check,
+    laurent_corner_certificate,
+    nonsolvability_certificate,
     witness_laurent_nonsolvable,
     witness_nge3,
     witness_nilpotent_char2,
 )
-from lpalab.matrices import laurent_corner_certificate, nonsolvability_certificate
 from helpers import (
     basis_count,
     build_corpus_graph,
@@ -36,6 +38,7 @@ from helpers import (
     f3_graph,
     random_element,
     rose_graph,
+    verify_matrix_units,
 )
 
 Q = field_from_spec("Q")

@@ -15,7 +15,6 @@ from lpalab import (
     forbidden_embedding_units,
     graph_from_lists,
     solvability_probe,
-    verify_matrix_units,
 )
 from lpalab.algebra import mono_order_key, mono_star
 from lpalab.scalars import Z
@@ -32,6 +31,7 @@ from helpers import (
     f3_graph,
     random_element,
     rose_graph,
+    verify_matrix_units,
 )
 
 Q = field_from_spec("Q")

@@ -219,6 +219,44 @@ def test_corpus_isolates_unreadable_file(tmp_path, capsys):
     assert obj["summary"] == {"AGREE": 1, "CONSISTENT": 0, "FAIL": 0, "ERROR": 1}
 
 
+# Graph files that once escaped as a traceback (exit 1) or loaded as another
+# graph: Latin-1 bytes, counts where arrays belong, an id string read as its
+# characters, and a flag string that bool() reads as true (a two-sink star,
+# AGREE unflagged, FAIL flagged).
+MALFORMED = {
+    "not-utf8": '{"vertices": ["caf\xe9"], "edges": []}'.encode("latin-1"),
+    "vertices-number": b'{"vertices": 5, "edges": []}',
+    "edges-number": b'{"vertices": ["v"], "edges": 7}',
+    "vertices-string": b'{"vertices": "abc", "edges": []}',
+    "flag-string": json.dumps({
+        "vertices": [{"id": "u", "infinite_emitter": "false"}, "a", "b"],
+        "edges": [{"id": "e", "src": "u", "dst": "a"}, {"id": "f", "src": "u", "dst": "b"}],
+    }).encode(),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_verify_rejects_a_malformed_graph_file(tmp_path, capsys, name):
+    path = tmp_path / "g.json"
+    path.write_bytes(MALFORMED[name])
+    code, out, err = run(capsys, "verify", "--graph", str(path), "--field", "F2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_corpus_goes_on_past_a_malformed_graph_file(tmp_path, capsys, name):
+    (tmp_path / "a_bad.json").write_bytes(MALFORMED[name])
+    write_graph(tmp_path, "b_e4.json", e4_graph(2))
+    code, out, err = run(capsys, "corpus", "--dir", str(tmp_path), "--fields", "F2,Q")
+    assert (code, err) == (1, "")
+    obj = json.loads(out)
+    assert [(e["file"], e["status"]) for e in obj["entries"]] == \
+        [("a_bad.json", "ERROR")] * 2 + [("b_e4.json", "AGREE")] * 2
+    assert obj["entries"][0]["error"] == obj["entries"][1]["error"]
+    assert obj["summary"] == {"AGREE": 2, "CONSISTENT": 0, "FAIL": 0, "ERROR": 2}
+
+
 # A valid graph, a file that is not JSON and a graph with a dangling edge.
 CORPUS_MIXED = {
     "a.json": '{"vertices": [{"id": "u"}, {"id": "w"}], '
@@ -361,9 +399,9 @@ def test_import_pulls_in_no_dataclasses():
 
 def test_only_the_matrix_command_runs_the_matrix_module(tmp_path):
     """`import lpalab.cli`, a `verify` and the error types never run the code
-    of matrices.py or of f2laurent.py, which only matrices.py imports;
-    `matrix` and the package's matrix names do.  The matrix module is in
-    sys.modules throughout, registered lazily."""
+    of matrices.py; `matrix` does.  The matrix module is in sys.modules
+    throughout, registered lazily, and its names are reached only through
+    it: the package root re-exports none of them."""
     import os
     import subprocess
     import sys
@@ -379,23 +417,23 @@ def test_only_the_matrix_command_runs_the_matrix_module(tmp_path):
         sys.addaudithook(lambda event, args: event == "exec" and ran.append(
             getattr(args[0], "co_filename", "")))
         import lpalab, lpalab.cli
-        loaded = lambda: any(f.endswith(("matrices.py", "f2laurent.py")) for f in ran)
+        loaded = lambda: any(f.endswith("matrices.py") for f in ran)
         seen = [loaded(), "lpalab.matrices" in sys.modules]
         argv = ["verify", "--graph", {path!r}, "--field", "F2", "--out", {out!r}]
         seen += [lpalab.cli.main(argv), loaded()]
         seen += [lpalab.MatrixLabError is lpalab.cli.MatrixLabError,
-                 hasattr(lpalab, "no_such_name"), loaded()]
+                 hasattr(lpalab, "witness_nge3"), loaded()]
         seen += [lpalab.cli.main(["matrix", "--case", "prop3a", "--n", "2"]), loaded()]
-        from lpalab import witness_nge3
-        from lpalab.matrices import MatrixLabError, witness_nge3 as same
-        seen += [witness_nge3 is same, MatrixLabError is lpalab.MatrixLabError]
+        from lpalab.matrices import MatrixLabError, witness_nge3
+        seen += [witness_nge3 is lpalab.cli.matrices.witness_nge3,
+                 MatrixLabError is lpalab.MatrixLabError, hasattr(lpalab, "witness_nge3")]
         print(seen)
     """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == str([False, True, 0, False, True, False, False, 2, True,
-                               True, True]) + "\n"
+                               True, True, False]) + "\n"
     assert proc.stderr == "error: witness_nge3 needs degree >= 3\n"
 
 

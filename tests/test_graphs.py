@@ -131,29 +131,64 @@ def test_decompose_is_partition():
         assert sorted(es) == sorted(e.id for e in g.edges)
 
 
+def test_validate_graph_requires_arrays_and_boolean_flags():
+    # A count or a string where an array belongs, and a flag that is not a
+    # JSON boolean, are errors rather than a graph read some other way.
+    for raw in ({"vertices": 5}, {"vertices": "abc"}, {"vertices": {"v": {}}},
+                {"vertices": ["v"], "edges": 7}, {"vertices": ["v"], "edges": "e"}):
+        key = "edges" if "edges" in raw else "vertices"
+        with pytest.raises(GraphError, match=f"^{key} must be a JSON array$"):
+            validate_graph(raw)
+    star = [{"id": "u"}, "a", "b"]
+    edges = [{"id": "e", "src": "u", "dst": "a"}, {"id": "f", "src": "u", "dst": "b"}]
+    for flag in ("false", "true", 0, 1, None, [False]):
+        star[0] = {"id": "u", "infinite_emitter": flag}
+        with pytest.raises(GraphError, match="infinite_emitter must be true or false"):
+            validate_graph({"vertices": star, "edges": edges})
+    for flag in (False, True):
+        star[0] = {"id": "u", "infinite_emitter": flag}
+        g = validate_graph({"vertices": star, "edges": edges})
+        assert g.vertex_ids == ("u", "a", "b") and g.is_infinite_emitter("u") is flag
+
+
 def test_match_patterns():
     assert match_pattern(graph_from_lists(["v"], [])).kind == "E1"
     assert match_pattern(e2_graph()).kind == "E2"
     assert match_pattern(e3_graph()).kind == "E3"
     p = match_pattern(e4_graph(2))
     assert p.kind == "E4" and p.center == "u"
-    assert p.sink_count.count == 2 and not p.sink_count.infinite
+    assert p.sink_count == 2 and not p.infinite
     p = match_pattern(e5_graph(3))
-    assert p.kind == "E5" and p.loop_count.count == 3
+    assert p.kind == "E5" and p.loop_count == 3
     p = match_pattern(e6_graph(2, 2))
-    assert p.kind == "E6" and p.sink_count.count == 2 and p.loop_count.count == 2
+    assert p.kind == "E6" and p.sink_count == 2 and p.loop_count == 2
     assert match_pattern(f1_path_graph()).kind is None
     assert match_pattern(rose_graph(2)).kind is None
 
 
 def test_match_pattern_infinite_flags():
     p = match_pattern(e4_graph(2, flagged=True))
-    assert p.kind == "E4" and p.sink_count.infinite and p.infinite
+    assert p.kind == "E4" and p.sink_count == 2 and p.infinite
     p = match_pattern(e5_graph(1, flagged=True))
-    assert p.kind == "E5" and p.loop_count.infinite
+    assert p.kind == "E5" and p.loop_count == 1 and p.infinite
     # a flagged vertex outside a star center disqualifies the shape
     g = graph_from_lists(["v"], [("c", "v", "v")], infinite=["v"])
     assert match_pattern(g).kind is None
+
+
+def test_pattern_json_puts_the_infinite_flag_on_one_count():
+    # The flag of a star center prints on the sinks of E4 and E6 and on the
+    # loops of E5; the other count prints as materialized.
+    cases = [(e4_graph(2), "E4", 2, 0), (e4_graph(2, flagged=True), "E4", "infinite", 0),
+             (e5_graph(3), "E5", 0, 3), (e5_graph(3, flagged=True), "E5", 0, "infinite"),
+             (e6_graph(2, 1), "E6", 2, 1), (e6_graph(2, 1, flagged=True), "E6", "infinite", 1)]
+    for g, kind, sinks_json, loops_json in cases:
+        p = match_pattern(g)
+        assert p.to_json_obj() == {"kind": kind, "center": g.vertices[0].id,
+                                   "sinks": sinks_json, "loops": loops_json}
+    for g in (e2_graph(), e3_graph(), f1_path_graph()):
+        obj = match_pattern(g).to_json_obj()
+        assert (obj["center"], obj["sinks"], obj["loops"]) == (None, 0, 0)
 
 
 def test_match_pattern_relabeling_invariance():
@@ -175,8 +210,8 @@ def test_match_pattern_relabeling_invariance():
             )
             p2 = match_pattern(g2)
             assert p2.kind == base.kind
-            assert p2.sink_count.count == base.sink_count.count
-            assert p2.loop_count.count == base.loop_count.count
+            assert p2.sink_count == base.sink_count
+            assert p2.loop_count == base.loop_count
 
 
 def test_pattern_match_excludes_witnesses_small_exhaustive():

@@ -4,6 +4,7 @@ certificates the same recursion gives inside path algebras."""
 import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,24 +12,19 @@ from lpalab import (
     LaurentRing,
     LeavittAlgebra,
     MatrixLabError,
-    MatrixRingCtx,
-    char2_laurent_index3_check,
-    corollary_field_check,
-    corollary_laurent_check,
     field_from_spec,
     find_cycle_with_exit,
     find_forbidden_subgraph,
     forbidden_embedding_units,
-    mat_involution,
-    skew_matrix_basis,
-    verify_matrix_units,
-    witness_laurent_nonsolvable,
-    witness_nge3,
-    witness_nilpotent_char2,
 )
 from lpalab import matrices
-from lpalab.f2laurent import F2LaurentRing, _draw_masks
 from lpalab.matrices import (
+    F2LaurentRing,
+    MatrixRingCtx,
+    _draw_masks,
+    char2_laurent_index3_check,
+    corollary_field_check,
+    corollary_laurent_check,
     dense,
     diagonal_closed_form,
     field_closed_forms,
@@ -36,13 +32,16 @@ from lpalab.matrices import (
     is_skew,
     laurent_closed_forms,
     laurent_corner_certificate,
-    nonsolvability_certificate,
-    mat,
     mat_bracket,
     mat_is_zero,
     mat_to_vec,
     matrix_pair_op,
     matrix_span,
+    nonsolvability_certificate,
+    skew_matrix_basis,
+    witness_laurent_nonsolvable,
+    witness_nge3,
+    witness_nilpotent_char2,
 )
 from lpalab.series import SeriesError, _run_series, product_span
 from helpers import (
@@ -54,12 +53,15 @@ from helpers import (
     f1_path_graph,
     f2_graph,
     f3_graph,
+    grid,
+    mat_involution,
     random_field_elem,
     random_laurent,
     ref_laurent_add,
     ref_laurent_mul,
     ref_laurent_sub,
     rose_graph,
+    verify_matrix_units,
 )
 
 Q = field_from_spec("Q")
@@ -69,15 +71,15 @@ F3 = field_from_spec("F3")
 
 def test_mat_involution_transpose():
     ctx = MatrixRingCtx(2, Q)
-    A = mat(ctx, [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
-    assert mat_involution(ctx, A) == mat(ctx, [[Fraction(1), Fraction(3)],
+    A = grid([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
+    assert mat_involution(ctx, A) == grid([[Fraction(1), Fraction(3)],
                                                [Fraction(2), Fraction(4)]])
 
 
 def test_mat_involution_laurent():
     ring = LaurentRing(Q)
     ctx = MatrixRingCtx(2, ring)
-    A = mat(ctx, [[ring.x(), ring.zero], [ring.zero, ring.zero]])
+    A = grid([[ring.x(), ring.zero], [ring.zero, ring.zero]])
     B = mat_involution(ctx, A)
     assert B[0][0] == ring.x_inv() and B[0][1] == ring.zero
 
@@ -90,7 +92,7 @@ def test_mat_involution_is_involutive_antihomomorphism():
             A = _random_entry_mat(ctx, rng)
             B = _random_entry_mat(ctx, rng)
             assert mat_involution(ctx, mat_involution(ctx, A)) == A
-            assert mat_involution(ctx, _reference_mul(ctx, A, B)) == mat(ctx, _reference_mul(
+            assert mat_involution(ctx, _reference_mul(ctx, A, B)) == grid(_reference_mul(
                 ctx, mat_involution(ctx, B), mat_involution(ctx, A)))
 
 
@@ -98,7 +100,7 @@ def test_skew_basis_field():
     ctx = MatrixRingCtx(2, Q)
     basis = skew_matrix_basis(ctx)
     assert len(basis) == 1
-    assert basis[0] == mat(ctx, [[Q.zero, Q.one], [Fraction(-1), Q.zero]])
+    assert basis[0] == grid([[Q.zero, Q.one], [Fraction(-1), Q.zero]])
 
     ctx2 = MatrixRingCtx(2, F2)
     basis2 = skew_matrix_basis(ctx2)
@@ -109,7 +111,7 @@ def test_skew_basis_laurent_contains_diagonal_skews():
     ring = LaurentRing(Q)
     ctx = MatrixRingCtx(2, ring)
     basis = skew_matrix_basis(ctx, 1)
-    target = mat(ctx, [[ring.sub(ring.x(), ring.x_inv()), ring.zero],
+    target = grid([[ring.sub(ring.x(), ring.x_inv()), ring.zero],
                        [ring.zero, ring.zero]])
     assert target in basis
 
@@ -150,9 +152,9 @@ def test_witness_nge3_first_steps():
     one = Q.one
     # m = 1: X = -(E12 - E21) + (E13 - E31)
     A = mat_bracket(ctx,
-                    mat(ctx, [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]]),
-                    mat(ctx, [[0, 0, 0], [0, 0, 1], [0, -1, 0]]))
-    expect = mat(ctx, [[0, -1, 1], [1, 0, 0], [-1, 0, 0]])
+                    grid([[0, 1, 1], [-1, 0, 0], [-1, 0, 0]]),
+                    grid([[0, 0, 0], [0, 0, 1], [0, -1, 0]]))
+    expect = grid([[0, -1, 1], [1, 0, 0], [-1, 0, 0]])
     assert A == expect
 
     rep = witness_nge3(ctx, one, one, one, 2)
@@ -163,13 +165,13 @@ def test_witness_nge3_step2_frozen_values():
     # closed forms from (1,1,1): a2 = -1, b2 = -1, c2 = 2, so
     # X2 = 2(E12 - E21) - 2(E13 - E31)
     ctx = MatrixRingCtx(3, Q)
-    A1 = mat(ctx, [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]])
-    B1 = mat(ctx, [[0, 0, 0], [0, 0, 1], [0, -1, 0]])
+    A1 = grid([[0, 1, 1], [-1, 0, 0], [-1, 0, 0]])
+    B1 = grid([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
     X1 = mat_bracket(ctx, A1, B1)
     A2 = mat_bracket(ctx, X1, B1)
     B2 = mat_bracket(ctx, X1, A1)
     X2 = mat_bracket(ctx, A2, B2)
-    assert X2 == mat(ctx, [[0, 2, -2], [-2, 0, 0], [2, 0, 0]])
+    assert X2 == grid([[0, 2, -2], [-2, 0, 0], [2, 0, 0]])
 
 
 def test_witness_nge3_long_runs():
@@ -198,8 +200,8 @@ def test_witness_nilpotent_char2():
     assert rep.ok and rep.steps_checked == 10
     # one step by hand: [A, B] with A = E12 + E21, B = E11 equals A in char 2
     ctx = MatrixRingCtx(2, F2)
-    A = mat(ctx, [[0, 1], [1, 0]])
-    B = mat(ctx, [[1, 0], [0, 0]])
+    A = grid([[0, 1], [1, 0]])
+    B = grid([[1, 0], [0, 0]])
     assert mat_bracket(ctx, A, B) == A
     with pytest.raises(MatrixLabError, match="characteristic"):
         witness_nilpotent_char2(F3, 3)
@@ -213,11 +215,11 @@ def test_witness_laurent_nonsolvable():
 
     # X1 = [[0, -2u^2], [2u^2, 0]]
     ctx = MatrixRingCtx(2, ring)
-    A1 = mat(ctx, [[ring.zero, u], [u, ring.zero]])
-    B1 = mat(ctx, [[u, ring.zero], [ring.zero, ring.neg(u)]])
+    A1 = grid([[ring.zero, u], [u, ring.zero]])
+    B1 = grid([[u, ring.zero], [ring.zero, ring.neg(u)]])
     X1 = mat_bracket(ctx, A1, B1)
     m2u2 = ring.mul(ring.monomial(0, Fraction(-2)), ring.mul(u, u))
-    assert X1 == mat(ctx, [[ring.zero, m2u2], [ring.neg(m2u2), ring.zero]])
+    assert X1 == grid([[ring.zero, m2u2], [ring.neg(m2u2), ring.zero]])
 
     v2 = ring.mul(ring.monomial(0, Fraction(4)), ring.mul(u, ring.mul(u, u)))
     assert not ring.is_zero(v2)
@@ -233,7 +235,7 @@ def test_witness_laurent_nonsolvable():
 def test_char2_laurent_closed_forms_trivial_tuple():
     ring = LaurentRing(F2)
     ctx = MatrixRingCtx(2, ring)
-    Z = mat(ctx, [[ring.zero, ring.zero], [ring.zero, ring.zero]])
+    Z = grid([[ring.zero, ring.zero], [ring.zero, ring.zero]])
     assert first_bracket_closed_form(ctx, Z, Z) == Z
     assert ring.is_zero(diagonal_closed_form(ctx, Z, Z, Z, Z))
 
@@ -268,7 +270,7 @@ def test_char2_laurent_index3_checks_each_sample_matrix_once(monkeypatch):
 def test_char2_laurent_index3_reports_a_wrong_closed_form(monkeypatch):
     def perturbed(ctx, A, B):
         (r, s), row2 = first_bracket_closed_form(ctx, A, B)
-        return mat(ctx, [[ctx.ring.add(r, ctx.ring.one), s], row2])
+        return grid([[ctx.ring.add(r, ctx.ring.one), s], row2])
 
     monkeypatch.setattr(matrices, "first_bracket_closed_form", perturbed)
     rep = char2_laurent_index3_check(3, 2, 1)
@@ -331,14 +333,77 @@ def test_char2_laurent_sharpness_diagonal():
     ring = LaurentRing(F2)
     ctx = MatrixRingCtx(2, ring)
     one, x = ring.one, ring.x()
-    A1 = mat(ctx, [[ring.zero, one], [one, ring.zero]])
-    A2 = mat(ctx, [[ring.zero, x], [ring.x_inv(), ring.zero]])
-    B = mat(ctx, [[one, ring.zero], [ring.zero, ring.zero]])
+    A1 = grid([[ring.zero, one], [one, ring.zero]])
+    A2 = grid([[ring.zero, x], [ring.x_inv(), ring.zero]])
+    B = grid([[one, ring.zero], [ring.zero, ring.zero]])
     X1 = mat_bracket(ctx, A1, B)
     X2 = mat_bracket(ctx, A2, B)
     sharp = mat_bracket(ctx, X1, X2)
     assert sharp[0][0] == ring.add(x, ring.x_inv())
     assert not mat_is_zero(ctx, sharp)
+
+
+def _module_generators(ring):
+    """G = {E11, E22, E12 + E21, x E12 + x^-1 E21} over a ring for F2[x, x^-1]."""
+    ctx = MatrixRingCtx(2, ring)
+    one, x = ring.one, ring.x()
+    return ctx, [dense(ctx, {(1, 1): one}), dense(ctx, {(2, 2): one}),
+                 dense(ctx, {(1, 2): one, (2, 1): one}),
+                 dense(ctx, {(1, 2): x, (2, 1): ring.involute(x)})]
+
+
+def test_char2_laurent_identities_hold_on_module_generators():
+    """The three identities that prop3c-upper samples, proved on G.
+
+    With t = x + x^-1, a skew [[a, b], [b~, c]] over F2[x, x^-1] has a~ = a
+    and c~ = c, so a and c lie in F2[t]; and b = p + q x with p, q in F2[t],
+    since 1 and x are a basis of F2[x, x^-1] over F2[t].  So the skew part
+    is the F2[t]-span of G.  Scalars of F2[t] are central and fixed by the
+    involution, so each identity is F2[t]-multilinear in its matrices:
+
+    - [A, B] = [[r, s], [s~, r]] with r = b~ v - b v~ and s = v (a - c) +
+      b (w - u) (``first_bracket_closed_form``) is bilinear;
+    - [X1, X2] is diagonal with the expanded entry
+      (``diagonal_closed_form``), which is 4-linear: each of its terms t1..t4
+      takes one factor from each of A1, B1, A2 and B2;
+    - [[X1, X2], [X3, X4]] = 0 is 8-linear.
+
+    A multilinear identity holds everywhere exactly when it holds on every
+    tuple of generators: the 16 pairs, the 256 4-tuples, and every pair of
+    the 256 second-level brackets.  They are checked on F2LaurentRing, the
+    ring of the prop3c-upper check.
+    """
+    ctx, gens = _module_generators(F2LaurentRing())
+    ring = ctx.ring
+    for A, B in product(gens, repeat=2):
+        assert mat_bracket(ctx, A, B) == first_bracket_closed_form(ctx, A, B), (A, B)
+    seconds = []
+    for A1, B1, A2, B2 in product(gens, repeat=4):
+        Y = mat_bracket(ctx, mat_bracket(ctx, A1, B1), mat_bracket(ctx, A2, B2))
+        assert ring.is_zero(Y[0][1]) and ring.is_zero(Y[1][0])
+        assert Y[0][0] == diagonal_closed_form(ctx, A1, B1, A2, B2), (A1, B1, A2, B2)
+        seconds.append(Y)
+    # The second step is not zero, so the index is not 2.
+    assert sum(not mat_is_zero(ctx, Y) for Y in seconds) == 32
+    assert all(mat_is_zero(ctx, mat_bracket(ctx, Y1, Y2)) for Y1, Y2 in product(seconds, repeat=2))
+
+
+def test_cor_laurent_degree_1_span_proves_index_3_over_f2():
+    """The degree-1 span S of cor-laurent over F2 contains G, so the skew part
+    L of M_2(F2[x, x^-1]) is R S with R = F2[x + x^-1].  Elements of R are
+    central and fixed by the involution, so [r X, Y] = r [X, Y], and by
+    induction D^k(L) = R D^k(S).  Dims [7, 7, 4, 0] therefore prove that L
+    has index exactly 3.  The degree-0 span misses x E12 + x^-1 E21: its
+    dims [3, 1, 0] are those of skew M_2(F2), and the case fails."""
+    ctx, gens = _module_generators(LaurentRing(F2))
+    for degree, held in ((1, [True] * 4), (0, [True, True, True, False])):
+        span = matrix_span(ctx, skew_matrix_basis(ctx, degree))
+        assert [span.reduce(mat_to_vec(ctx, G)) == {} for G in gens] == held
+    rep = corollary_laurent_check(F2, 1, 8)
+    assert rep.ok and rep.notes == ["derived dims: [7, 7, 4, 0]"]
+    rep = corollary_laurent_check(F2, 0, 8)
+    assert rep.notes == ["derived dims: [3, 1, 0]"]
+    assert rep.failures == ["expected solvability index 3, dims [3, 1, 0]"]
 
 
 def test_corollary_checks():
@@ -390,7 +455,7 @@ def _entry_sampler(ring, rng):
 def _random_entry_mat(ctx, rng, density=1.0, zero_diagonal=False):
     """Each entry random with probability ``density``, zero otherwise."""
     ring, entry = ctx.ring, _entry_sampler(ctx.ring, rng)
-    return mat(ctx, [[ring.zero if (zero_diagonal and i == j) or rng.random() >= density
+    return grid([[ring.zero if (zero_diagonal and i == j) or rng.random() >= density
                       else entry() for j in range(ctx.n)] for i in range(ctx.n)])
 
 
@@ -563,7 +628,7 @@ def _random_skew_mat(ctx, rng):
         for j in range(i + 1, ctx.n):
             rows[i][j] = entry()
             rows[j][i] = ring.neg(ring.involute(rows[i][j]))
-    return mat(ctx, rows)
+    return grid(rows)
 
 
 def test_is_skew_matches_definition():
@@ -590,7 +655,7 @@ def test_is_skew_matches_definition():
                     for j in range(i + 1):
                         rows = [list(r) for r in S]
                         rows[i][j] = ring.add(rows[i][j], bump)
-                        M = mat(ctx, rows)
+                        M = grid(rows)
                         assert is_skew(ctx, M) == definition(M) == (ring is F2 and i == j)
 
 

@@ -13,10 +13,10 @@ from lpalab import (
     field_of_characteristic,
 )
 from lpalab import scalars
-from lpalab.f2laurent import F2LaurentRing
-from lpalab.matrices import MatrixRingCtx, is_skew, mat, mat_bracket
+from lpalab.matrices import F2LaurentRing, MatrixRingCtx, is_skew, mat_bracket
 from helpers import (
     assert_canonical_laurent,
+    grid,
     random_field_elem,
     random_laurent,
     ref_laurent_add,
@@ -395,7 +395,7 @@ def test_packed_f2_laurent_mat_bracket_matches_dict_ring():
     dctx, pctx = MatrixRingCtx(2, LaurentRing(F2)), MatrixRingCtx(2, F2LaurentRing())
     for _ in range(200):
         (dA, pA), (dB, pB) = _skew_pair(rng), _skew_pair(rng)
-        dA, dB, pA, pB = mat(dctx, dA), mat(dctx, dB), mat(pctx, pA), mat(pctx, pB)
+        dA, dB, pA, pB = grid(dA), grid(dB), grid(pA), grid(pB)
         assert is_skew(dctx, dA) and is_skew(pctx, pA)
         got, want = mat_bracket(pctx, pA, pB), mat_bracket(dctx, dA, dB)
         for got_row, want_row in zip(got, want):

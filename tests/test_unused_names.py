@@ -16,8 +16,6 @@ SRC = Path(lpalab.__file__).parent
 ALLOWED = {
     "nonsolvability_certificate": "checked non-solvability proof; verify shows it in ROADMAP item 3",
     "laurent_corner_certificate": "the same proof for a cycle without exit; ROADMAP item 3",
-    "verify_matrix_units": "test oracle for the matrix-unit relations of an embedding",
-    "mat_involution": "test oracle for the transpose-with-entry-involution",
     "graph_from_lists": "library API shown in the README",
     "sinks": "library API shown in the README",
     "regular_vertices": "library API shown in the README",
