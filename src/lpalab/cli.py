@@ -53,6 +53,9 @@ def _int_at_least(low: int):
 
 COUNT = _int_at_least(1)
 
+USAGE_ERRORS = (SeriesError, GraphError, ScalarError, AlgebraError, MatrixLabError, ExprError,
+                OSError)  # exit 2, or one ERROR entry per field in ``corpus``
+
 
 def _load_graph(path: str):
     try:
@@ -60,6 +63,8 @@ def _load_graph(path: str):
             raw = json.load(fh)
     except UnicodeDecodeError:
         raise GraphError(f"{path}: not UTF-8 text") from None
+    except (RecursionError, ValueError) as exc:  # bad JSON, deep nesting, a huge integer
+        raise GraphError(str(exc)) from None
     return validate_graph(raw)
 
 
@@ -156,14 +161,12 @@ def _cmd_corpus(args) -> int:
         raise GraphError(f"not a directory: {args.dir}")
     entries = []
     summary = {"AGREE": 0, "CONSISTENT": 0, "FAIL": 0, "ERROR": 0}
-    errors = (GraphError, SeriesError, ScalarError, AlgebraError, OSError,
-              json.JSONDecodeError)
     for path in sorted(root.glob("*.json")):
         # Read and validate each file once; a file that fails to load gives
         # one ERROR entry per field, with the same text.
         try:
             g, load_error = _load_graph(str(path)), None
-        except errors as exc:
+        except USAGE_ERRORS as exc:
             g, load_error = None, exc
         for fld in fields:
             error = load_error
@@ -171,7 +174,7 @@ def _cmd_corpus(args) -> int:
                 try:
                     status = cross_validate(g, fld, mode="auto", weight=args.weight,
                                             depth=args.depth).status
-                except errors as exc:
+                except USAGE_ERRORS as exc:
                     error = exc
             entry = {"file": path.name, "field": repr(fld)}
             if error is None:
@@ -278,8 +281,7 @@ def main(argv=None) -> int:
     except ModeUnavailableError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNAVAILABLE
-    except (SeriesError, GraphError, ScalarError, AlgebraError, MatrixLabError, ExprError,
-            OSError, json.JSONDecodeError) as exc:
+    except USAGE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -445,8 +445,7 @@ def match_pattern(c: Graph) -> PatternClass:
     if len(centers) != 1:
         return _NO_MATCH
     u = centers[0]
-    star = [c.edges[ei] for ei in c.out_edges[u.id]]
-    targets = [e.dst for e in star]
+    targets = [c.edges[ei].dst for ei in c.out_edges[u.id]]
     if u.id in targets or len(set(targets)) != len(targets):
         return _NO_MATCH
     if set(targets) != {v.id for v in vs if v.id != u.id}:
@@ -471,7 +470,5 @@ def match_pattern(c: Graph) -> PatternClass:
         else:
             return _NO_MATCH
     ns, nl = len(sink_children), len(loop_children)
-    if ns + nl != len(star):
-        return _NO_MATCH
     kind = "E6" if ns and nl else "E4" if ns else "E5"
     return PatternClass(kind, u.id, ns, nl, u.infinite_emitter)

@@ -11,9 +11,10 @@ kernel ``mat_bracket`` cancels and pairs terms of AB - BA by that fact.  The
 series of the corollary spans bracket their rows as sparse cells instead
 (``matrix_pair_op``), since those rows have one or two nonzero entries.
 
-The characteristic-2 index-3 check runs on ``F2LaurentRing``, F2[x, x^-1]
-packed into bits (addition is XOR there and the product carry-less), and
-draws its samples through ``_draw_masks``; everything that reads
+The characteristic-2 index-3 check runs its samples side by side on
+``F2LaurentLanes``, F2[x, x^-1]^n with sample s in bit s of every
+coefficient mask (a sum is a XOR there and a product ANDs masks), and reads
+its draws through ``_draw_reader``; everything that reads
 exponent-coefficient pairs keeps the dict ring ``scalars.LaurentRing``.
 """
 
@@ -355,111 +356,89 @@ def laurent_corner_certificate(graph: Graph, fld, entry_edge: str, cycle_edges,
 # characteristic-2 Laurent checks
 
 
-class F2LaurentRing:
-    """F2[x, x^-1] packed into bits, with the involution x -> x^-1.
+class F2LaurentLanes:
+    """F2[x, x^-1]^n, n samples side by side (bit-slicing): a value is
+    {exponent: lane mask}, where bit s of the mask is sample s's coefficient
+    of x^exponent.  No mask is zero, so dict equality is equality in every
+    lane.  A sum XORs the masks of each exponent; a product XORs the AND of
+    the masks of each exponent pair into the sum of the exponents; the
+    involution x -> x^-1 negates the exponents.  Inputs are never mutated,
+    so ``zero`` can be shared."""
 
-    A value is a pair (low, mask) standing for x^low times the sum of x^i
-    over the set bits i of mask.  mask is odd, so low is the least exponent,
-    and zero is (0, 0): tuple equality is polynomial equality.  In
-    characteristic 2 a sum is one XOR of the aligned masks and a product is
-    carry-less, the XOR of shifted copies of one mask, one per set bit of
-    the other.  Values print as ``LaurentRing(F2)`` prints them.
-    """
+    zero = {}
 
-    characteristic = 2
-    zero = (0, 0)
-    one = (0, 1)
+    def __init__(self, n: int):
+        self.one = {0: (1 << n) - 1}
 
-    def __repr__(self):
-        return "F2[x,x^-1]"
-
-    def x(self) -> tuple:
-        return (1, 1)
-
-    def from_bits(self, low: int, bits: int) -> tuple:
-        """x^low times the sum of x^i over the set bits i of bits."""
-        if not bits:
-            return (0, 0)
-        t = (bits & -bits).bit_length() - 1
-        return (low + t, bits >> t)
-
-    def add(self, f: tuple, g: tuple) -> tuple:
-        lf, mf = f
-        lg, mg = g
-        if not mf:
-            return g
-        if not mg:
-            return f
-        # The shifted mask has bit 0 clear, so the sum keeps the lower end.
-        if lf < lg:
-            return (lf, mf ^ (mg << (lg - lf)))
-        if lg < lf:
-            return (lg, mg ^ (mf << (lf - lg)))
-        return self.from_bits(lf, mf ^ mg)
+    def add(self, f: dict, g: dict) -> dict:
+        out = dict(f)
+        for e, m in g.items():
+            m ^= out.get(e, 0)
+            if m:
+                out[e] = m
+            else:
+                del out[e]
+        return out
 
     sub = add
 
-    def neg(self, f: tuple) -> tuple:
+    def neg(self, f: dict) -> dict:
         return f
 
-    def mul(self, f: tuple, g: tuple) -> tuple:
-        lf, mf = f
-        lg, mg = g
-        if not mf or not mg:
-            return (0, 0)
-        if mf.bit_count() > mg.bit_count():
-            mf, mg = mg, mf
-        acc = 0
-        while mf:
-            bit = mf & -mf
-            acc ^= mg * bit  # mg shifted up to the position of bit
-            mf ^= bit
-        # Both masks are odd, so bit 0 of the product is 1 * 1.
-        return (lf + lg, acc)
+    def mul(self, f: dict, g: dict) -> dict:
+        out: dict = {}
+        for e1, m1 in f.items():
+            for e2, m2 in g.items():
+                m = m1 & m2
+                if m:
+                    e = e1 + e2
+                    out[e] = out.get(e, 0) ^ m
+        return {e: m for e, m in out.items() if m}
 
-    def involute(self, f: tuple) -> tuple:
-        low, mask = f
-        if not mask:
-            return f
-        # x^low m(x) -> x^-low m(1/x) = x^-(low + d) (x^d m(1/x)) with d = deg m,
-        # and x^d m(1/x) is m with its d + 1 bits reversed.
-        return (1 - low - mask.bit_length(), int(bin(mask)[:1:-1], 2))
+    def involute(self, f: dict) -> dict:
+        return {-e: m for e, m in f.items()}
 
-    def is_zero(self, f: tuple) -> bool:
-        return not f[1]
+    def is_zero(self, f: dict) -> bool:
+        return not f
 
-    def to_str(self, f: tuple) -> str:
-        e, mask = f
-        if not mask:
-            return "0"
-        parts = []
-        while mask:
-            if mask & 1:
-                parts.append("1" if e == 0 else "x" if e == 1 else f"x^{e}")
-            mask >>= 1
-            e += 1
-        return " + ".join(parts)
+
+def _lanes(values) -> int:
+    """The mask of the lanes in which any of the lane values is nonzero."""
+    out = 0
+    for v in values:
+        for m in v.values():
+            out |= m
+    return out
 
 
 # The top byte of a 32-bit word as a draw: deleted when its bit 7 (the word's
 # bit 31) is set, else the ASCII digit of its bit 6 (the word's bit 30).
 _DRAW_DIGITS = bytes(48 + (b >> 6 & 1) for b in range(256))
 _REJECTED = bytes(range(128, 256))
+# Samples checked side by side; a constant, so memory stays bounded for any
+# sample count, and the output does not depend on it.
+_LANES = 1024
 
 
-def _draw_masks(rng: random.Random, width: int):
-    """Endless width-bit masks whose bit i is the i-th of width successive
-    ``rng.randrange(2)`` draws, read from blocks of ``getrandbits`` words;
-    ``char2_laurent_index3_check`` gives the argument.  Blocks are
-    read ahead, so ``rng`` ends up past the draws handed out."""
-    words, buf, pos = 2048, b"", 0
-    while True:
-        if len(buf) - pos < width:
-            block = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-            buf, pos = buf[pos:] + block[3::4].translate(_DRAW_DIGITS, _REJECTED), 0
-            continue
-        yield int(buf[pos:pos + width][::-1] or b"0", 2)
-        pos += width
+def _draw_reader(rng: random.Random):
+    """read(k): the next k ``rng.randrange(2)`` draws as ASCII digits, read
+    from blocks of ``getrandbits`` words; ``char2_laurent_index3_check``
+    gives the argument.  Blocks are read ahead, so ``rng`` ends up past the
+    draws handed out."""
+    rest = b""
+
+    def read(k: int) -> bytes:
+        nonlocal rest
+        parts, have = [rest], len(rest)
+        while have < k:
+            block = rng.getrandbits(32 * 2048).to_bytes(4 * 2048, "little")
+            parts.append(block[3::4].translate(_DRAW_DIGITS, _REJECTED))
+            have += len(parts[-1])
+        digits = b"".join(parts)
+        rest = digits[k:]
+        return digits[:k]
+
+    return read
 
 
 def _skew_entries(A):
@@ -499,34 +478,41 @@ def diagonal_closed_form(ctx: MatrixRingCtx, A1, B1, A2, B2):
     return ring.add(ring.add(t1, t2), ring.add(t3, t4))
 
 
+def _skew_2x2(ring, a, b, c):
+    """[[a, b], [-b~, c]], skew when a and c are."""
+    return ((a, b), (ring.neg(ring.involute(b)), c))
+
+
 def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
                                base_field=None) -> MatrixReport:
     """Characteristic-2 solvability bound with sharpness, over F2[x, x^-1].
 
-    The entries live in ``F2LaurentRing``, F2[x, x^-1] packed into bit
-    masks.  Each random coefficient is one ``rng.randrange(2)`` draw in
-    exponent order, so a seed gives the samples the dict ring drew, but the
-    draws are read a block of words at a time (``_draw_masks``):
-    ``randrange(2)`` is one ``getrandbits(2)`` per try, the top two bits of
-    one 32-bit Mersenne Twister word, retried while they read 2 or 3.  So a
-    draw is bit 30 of the next word whose bit 31 is clear, and
-    ``getrandbits(32 * k)`` returns the next k words in order, the first one
-    lowest.  The generator is local and nothing draws after the samples, so
-    the words read past the last sample change nothing.
+    The samples are checked ``_LANES`` at a time on ``F2LaurentLanes``,
+    sample s of a batch in bit s of every mask.  Each random coefficient is
+    one ``rng.randrange(2)`` draw in exponent order, so a seed gives the
+    samples the dict ring drew, but the draws are read a block of words at a
+    time (``_draw_reader``): ``randrange(2)`` is one ``getrandbits(2)`` per
+    try, the top two bits of one 32-bit Mersenne Twister word, retried while
+    they read 2 or 3.  So a draw is bit 30 of the next word whose bit 31 is
+    clear, and ``getrandbits(32 * k)`` returns the next k words in order, the
+    first one lowest.  A sample takes 24 polynomials of w = 2d + 1 draws, so
+    the lane mask of bit i of polynomial t is every 24w-th digit from t w + i.
+    The generator is local and nothing draws after the samples, so the words
+    read past the last sample change nothing.
 
     Upper bound: for seeded random skew 8-tuples, the first-level brackets
     X_i have the closed form [[r_i, s_i], [-s_i~, -r_i]], the second-level
     brackets [X1, X2] and [X3, X4] are diagonal with the expanded entry, and
-    [[X1, X2], [X3, X4]] is zero.  Sharpness: the tuple a_i = c_i = 0, b1 = 1,
-    b2 = x, v_i = 0, u1 = u2 = 1, w_i = 0 gives [X1, X2] != 0.
+    [[X1, X2], [X3, X4]] is zero.  Each of these nine checks gives the mask
+    of its failing lanes, and the failures are listed sample by sample.
+    Sharpness, on ``LaurentRing``: the tuple a_i = c_i = 0, b1 = 1, b2 = x,
+    v_i = 0, u1 = u2 = 1, w_i = 0 gives [X1, X2] != 0.
     """
     from .scalars import field_from_spec
 
     fld = base_field or field_from_spec("F2")
     if fld.characteristic != 2:
         raise MatrixLabError("wrong characteristic: need 2")
-    ring = F2LaurentRing()
-    ctx = MatrixRingCtx(2, ring)
     rep = MatrixReport("prop3c-upper", {"samples": samples, "degree_bound": degree_bound,
                                         "seed": seed})
     rep.notes.append(
@@ -534,51 +520,56 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
         "its exact subscripting is immaterial in characteristic 2"
     )
 
-    masks = _draw_masks(random.Random(seed), 2 * degree_bound + 1)
-
-    def rand_poly():
-        return ring.from_bits(-degree_bound, next(masks))
-
-    def rand_skew_scalar():
-        h = rand_poly()
-        return ring.add(h, ring.involute(h))
-
-    def skew_mat(a, b, c):
-        return ((a, b), (ring.neg(ring.involute(b)), c))
-
-    for idx in range(samples):
-        As = []
-        Bs = []
-        for _ in range(4):
-            As.append(skew_mat(rand_skew_scalar(), rand_poly(), rand_skew_scalar()))
-            Bs.append(skew_mat(rand_skew_scalar(), rand_poly(), rand_skew_scalar()))
+    read = _draw_reader(random.Random(seed))
+    w = 2 * degree_bound + 1
+    for start in range(0, samples, _LANES):
+        n = min(_LANES, samples - start)
+        ring = F2LaurentLanes(n)
+        ctx = MatrixRingCtx(2, ring)
+        digits = read(24 * w * n)
+        masks = [int(digits[j::24 * w][::-1], 2) for j in range(24 * w)]
+        polys = [{i - degree_bound: m for i, m in enumerate(masks[t * w:t * w + w]) if m}
+                 for t in range(24)]
+        # Per matrix: a skew scalar h + h~, a polynomial b, a skew scalar;
+        # A1, B1, A2, B2, ... in turn.
+        mats = [_skew_2x2(ring, ring.add(a, ring.involute(a)), b,
+                          ring.add(c, ring.involute(c)))
+                for a, b, c in zip(polys[0::3], polys[1::3], polys[2::3])]
+        As, Bs = mats[0::2], mats[1::2]
         if not all(is_skew(ctx, M) for M in As + Bs):
             raise MatrixLabError("matrix is not skew")
-        Xs = []
+        # failure text -> the lanes that fail it, in the order a sample lists them
+        checks, Xs = {}, []
         for i in range(4):
             X = mat_bracket(ctx, As[i], Bs[i])
-            if X != first_bracket_closed_form(ctx, As[i], Bs[i]):
-                rep.failures.append(f"sample {idx}: X_{i + 1} differs from closed form")
+            C = first_bracket_closed_form(ctx, As[i], Bs[i])
+            checks[f"X_{i + 1} differs from closed form"] = _lanes(map(ring.sub, sum(X, ()),
+                                                                       sum(C, ())))
             Xs.append(X)
         Y1 = mat_bracket(ctx, Xs[0], Xs[1])
         Y2 = mat_bracket(ctx, Xs[2], Xs[3])
         for name, Y, (Aa, Bb, Ac, Bd) in (("[X1,X2]", Y1, (As[0], Bs[0], As[1], Bs[1])),
                                           ("[X3,X4]", Y2, (As[2], Bs[2], As[3], Bs[3]))):
-            if not (ring.is_zero(Y[0][1]) and ring.is_zero(Y[1][0])):
-                rep.failures.append(f"sample {idx}: {name} not diagonal")
-            if Y[0][0] != diagonal_closed_form(ctx, Aa, Bb, Ac, Bd):
-                rep.failures.append(f"sample {idx}: {name} diagonal differs from expansion")
-        if not mat_is_zero(ctx, mat_bracket(ctx, Y1, Y2)):
-            rep.failures.append(f"sample {idx}: [[X1,X2],[X3,X4]] != 0")
+            checks[f"{name} not diagonal"] = _lanes((Y[0][1], Y[1][0]))
+            D = diagonal_closed_form(ctx, Aa, Bb, Ac, Bd)
+            checks[f"{name} diagonal differs from expansion"] = _lanes([ring.sub(Y[0][0], D)])
+        checks["[[X1,X2],[X3,X4]] != 0"] = _lanes(sum(mat_bracket(ctx, Y1, Y2), ()))
+        failing = _lanes([checks])
+        while failing:
+            lane = failing & -failing
+            rep.failures.extend(f"sample {start + lane.bit_length() - 1}: {text}"
+                                for text, m in checks.items() if m & lane)
+            failing ^= lane
     rep.steps_checked = samples
 
     # sharpness
-    one = ring.one
-    x = ring.x()
-    A1 = skew_mat(ring.zero, one, ring.zero)
-    A2 = skew_mat(ring.zero, x, ring.zero)
-    B1 = skew_mat(one, ring.zero, ring.zero)
-    B2 = skew_mat(one, ring.zero, ring.zero)
+    ring = LaurentRing(fld)
+    ctx = MatrixRingCtx(2, ring)
+    zero, one, x = ring.zero, ring.one, ring.x()
+    A1 = _skew_2x2(ring, zero, one, zero)
+    A2 = _skew_2x2(ring, zero, x, zero)
+    B1 = _skew_2x2(ring, one, zero, zero)
+    B2 = _skew_2x2(ring, one, zero, zero)
     X1 = mat_bracket(ctx, A1, B1)
     X2 = mat_bracket(ctx, A2, B2)
     sharp = mat_bracket(ctx, X1, X2)

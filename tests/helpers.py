@@ -197,6 +197,34 @@ def grid(rows) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
+def f2_lanes(polys) -> dict:
+    """The ``F2LaurentLanes`` value whose lane s is the F2 dict polynomial
+    polys[s]."""
+    out = {}
+    for s, f in enumerate(polys):
+        for e in f:
+            out[e] = out.get(e, 0) | 1 << s
+    return out
+
+
+def f2_lane(v: dict, s: int) -> dict:
+    """Lane s of an ``F2LaurentLanes`` value, as an F2 dict polynomial."""
+    return {e: 1 for e, m in v.items() if m >> s & 1}
+
+
+def lane_matrix(mats) -> tuple:
+    """The 2x2 ``F2LaurentLanes`` matrix whose lane s is the F2 dict matrix
+    mats[s]."""
+    mats = list(mats)
+    return grid([[f2_lanes(M[i][j] for M in mats) for j in range(2)] for i in range(2)])
+
+
+def assert_canonical_lanes(v, n):
+    """{exponent: mask} of ints, every mask nonzero and within n lanes."""
+    assert type(v) is dict
+    assert all(type(e) is int and type(m) is int and 0 < m < 1 << n for e, m in v.items())
+
+
 def mat_involution(ctx, A):
     """Transpose with the entry involution applied; an anti-automorphism."""
     inv = ctx.ring.involute

@@ -221,9 +221,12 @@ def test_corpus_isolates_unreadable_file(tmp_path, capsys):
 
 # Graph files that once escaped as a traceback (exit 1) or loaded as another
 # graph: Latin-1 bytes, counts where arrays belong, an id string read as its
-# characters, and a flag string that bool() reads as true (a two-sink star,
-# AGREE unflagged, FAIL flagged).
+# characters, a flag string that bool() reads as true (a two-sink star,
+# AGREE unflagged, FAIL flagged), arrays nested past the recursion limit,
+# and an integer past the digit limit of int-from-string conversion.
 MALFORMED = {
+    "nested-too-deeply": b"[" * 100_000,
+    "integer-too-long": b'{"vertices": [' + b"7" * 5000 + b'], "edges": []}',
     "not-utf8": '{"vertices": ["caf\xe9"], "edges": []}'.encode("latin-1"),
     "vertices-number": b'{"vertices": 5, "edges": []}',
     "edges-number": b'{"vertices": ["v"], "edges": 7}',
@@ -255,6 +258,17 @@ def test_corpus_goes_on_past_a_malformed_graph_file(tmp_path, capsys, name):
         [("a_bad.json", "ERROR")] * 2 + [("b_e4.json", "AGREE")] * 2
     assert obj["entries"][0]["error"] == obj["entries"][1]["error"]
     assert obj["summary"] == {"AGREE": 2, "CONSISTENT": 0, "FAIL": 0, "ERROR": 2}
+
+
+def test_usage_errors_catch_every_exported_error():
+    import lpalab
+    from lpalab.cli import USAGE_ERRORS
+
+    exported = {v for k, v in vars(lpalab).items() if k.endswith("Error")}
+    assert len(exported) == 7
+    # ModeUnavailableError, a SeriesError, exits 3 before the usage errors.
+    assert exported - set(USAGE_ERRORS) == {ModeUnavailableError}
+    assert issubclass(ModeUnavailableError, USAGE_ERRORS)
 
 
 # A valid graph, a file that is not JSON and a graph with a dangling edge.

@@ -19,9 +19,9 @@ from lpalab import (
 )
 from lpalab import matrices
 from lpalab.matrices import (
-    F2LaurentRing,
+    F2LaurentLanes,
     MatrixRingCtx,
-    _draw_masks,
+    _draw_reader,
     char2_laurent_index3_check,
     corollary_field_check,
     corollary_laurent_check,
@@ -51,9 +51,11 @@ from helpers import (
     e3_graph,
     e5_graph,
     f1_path_graph,
+    f2_lane,
     f2_graph,
     f3_graph,
     grid,
+    lane_matrix,
     mat_involution,
     random_field_elem,
     random_laurent,
@@ -250,7 +252,8 @@ def test_char2_laurent_index3_sample_run():
 
 def test_char2_laurent_index3_checks_each_sample_matrix_once(monkeypatch):
     # Each sample draws eight skew matrices (A1..A4, B1..B4); the closed
-    # forms assume skewness, so each matrix is checked exactly once.
+    # forms assume skewness, so each matrix is checked exactly once, a batch
+    # of samples side by side in one lane matrix.
     checked = []
 
     def counting(ctx, A):
@@ -258,10 +261,11 @@ def test_char2_laurent_index3_checks_each_sample_matrix_once(monkeypatch):
         return is_skew(ctx, A)
 
     monkeypatch.setattr(matrices, "is_skew", counting)
-    for samples in (1, 7):
+    for samples, lanes, batches in ((1, 1024, 1), (7, 1024, 1), (7, 3, 3)):
+        monkeypatch.setattr(matrices, "_LANES", lanes)
         checked.clear()
         assert char2_laurent_index3_check(samples, 2, 3).ok
-        assert len(checked) == 8 * samples
+        assert len(checked) == 8 * batches
     monkeypatch.setattr(matrices, "is_skew", lambda ctx, A: False)
     with pytest.raises(MatrixLabError, match="not skew"):
         char2_laurent_index3_check(1, 2, 3)
@@ -278,55 +282,166 @@ def test_char2_laurent_index3_reports_a_wrong_closed_form(monkeypatch):
                             for i in range(3) for k in range(1, 5)]
 
 
-def test_char2_laurent_index3_reports_a_product_that_drops_its_top_term(monkeypatch):
-    mul = F2LaurentRing.mul
+def _reference_samples(seed, samples, degree_bound):
+    """Per sample, (A1..A4, B1..B4) of prop3c-upper over LaurentRing(F2),
+    each coefficient one ``rng.randrange(2)`` draw in exponent order."""
+    ring = LaurentRing(F2)
+    rng = random.Random(seed)
 
-    def drop_top(self, f, g):
-        low, mask = mul(self, f, g)
-        top = 1 << mask.bit_length() >> 1  # 0 for a zero product
-        return self.from_bits(low, mask ^ top)
+    def poly():
+        return {e: 1 for e in range(-degree_bound, degree_bound + 1) if rng.randrange(2)}
 
-    monkeypatch.setattr(F2LaurentRing, "mul", drop_top)
-    rep = char2_laurent_index3_check(3, 2, 1)
-    assert "sample 0: X_1 differs from closed form" in rep.failures
-    assert rep.failures[-1] == "sharpness diagonal is not (x^-1 + x) u1^2"
+    def skew_scalar():
+        h = poly()
+        return ring.add(h, ring.involute(h))
 
-
-def _randrange_masks(rng, width, count):
-    """count masks drawn bit by bit, one rng.randrange(2) per bit."""
     out = []
-    for _ in range(count):
-        bits = 0
-        for i in range(width):
-            if rng.randrange(2):
-                bits |= 1 << i
-        out.append(bits)
+    for _ in range(samples):
+        mats = []
+        for _ in range(8):
+            a, b, c = skew_scalar(), poly(), skew_scalar()
+            mats.append(grid([[a, b], [ring.involute(b), c]]))
+        out.append((mats[0::2], mats[1::2]))
     return out
+
+
+def _reference_failures(seed, samples, degree_bound):
+    """The failure lines of the upper-bound check, one sample at a time on
+    LaurentRing(F2)."""
+    ctx = MatrixRingCtx(2, LaurentRing(F2))
+    failures = []
+    for idx, (As, Bs) in enumerate(_reference_samples(seed, samples, degree_bound)):
+        Xs = [mat_bracket(ctx, A, B) for A, B in zip(As, Bs)]
+        failures += [f"sample {idx}: X_{i + 1} differs from closed form" for i in range(4)
+                     if Xs[i] != first_bracket_closed_form(ctx, As[i], Bs[i])]
+        Ys = [mat_bracket(ctx, Xs[0], Xs[1]), mat_bracket(ctx, Xs[2], Xs[3])]
+        for k, (name, Y) in enumerate(zip(("[X1,X2]", "[X3,X4]"), Ys)):
+            if Y[0][1] or Y[1][0]:
+                failures.append(f"sample {idx}: {name} not diagonal")
+            A1, A2, B1, B2 = As[2 * k], As[2 * k + 1], Bs[2 * k], Bs[2 * k + 1]
+            if Y[0][0] != diagonal_closed_form(ctx, A1, B1, A2, B2):
+                failures.append(f"sample {idx}: {name} diagonal differs from expansion")
+        if not mat_is_zero(ctx, mat_bracket(ctx, *Ys)):
+            failures.append(f"sample {idx}: [[X1,X2],[X3,X4]] != 0")
+    return failures
+
+
+def _lane_of(M, s):
+    return grid([[f2_lane(x, s) for x in row] for row in M])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 31 - 1])
+def test_char2_laurent_index3_lanes_are_the_per_sample_computation(seed, monkeypatch):
+    # Batches of 3 lanes over 8 samples: two full batches and a part one.
+    # Every lane of every A, B, X and Y is the per-sample LaurentRing(F2)
+    # value, and the report does not depend on the batch size.
+    want = char2_laurent_index3_check(8, 2, seed).to_json_obj()
+    calls = []
+    bracket = matrices.mat_bracket
+
+    def recording(ctx, P, Q):
+        R = bracket(ctx, P, Q)
+        if isinstance(ctx.ring, F2LaurentLanes):
+            calls.append((P, Q, R))
+        return R
+
+    monkeypatch.setattr(matrices, "mat_bracket", recording)
+    monkeypatch.setattr(matrices, "_LANES", 3)
+    assert char2_laurent_index3_check(8, 2, seed).to_json_obj() == want
+    ctx = MatrixRingCtx(2, LaurentRing(F2))
+    # Per batch: X1..X4 = [Ai, Bi], Y1 = [X1, X2], Y2 = [X3, X4], [Y1, Y2].
+    assert len(calls) == 7 * 3
+    for idx, (As, Bs) in enumerate(_reference_samples(seed, 8, 2)):
+        batch, s = calls[7 * (idx // 3):7 * (idx // 3) + 7], idx % 3
+        Xs = [mat_bracket(ctx, A, B) for A, B in zip(As, Bs)]
+        Ys = [mat_bracket(ctx, Xs[0], Xs[1]), mat_bracket(ctx, Xs[2], Xs[3])]
+        for i in range(4):
+            P, Q, X = batch[i]
+            assert (_lane_of(P, s), _lane_of(Q, s), _lane_of(X, s)) == (As[i], Bs[i], Xs[i])
+        assert [_lane_of(Y, s) for _, _, Y in batch[4:6]] == Ys
+        assert mat_is_zero(ctx, _lane_of(batch[6][2], s))
+
+
+def test_char2_laurent_index3_reports_a_product_that_drops_its_top_term(monkeypatch):
+    # The same mutation on both rings gives the per-sample failure lines,
+    # and the sharpness instance, on LaurentRing, fails as well.
+    lanes_mul, dict_mul = F2LaurentLanes.mul, LaurentRing.mul
+
+    def lanes_drop_top(self, f, g):
+        out, seen = {}, 0  # seen: the lanes with a term above e
+        for e, m in sorted(lanes_mul(self, f, g).items(), reverse=True):
+            if m & seen:
+                out[e] = m & seen
+            seen |= m
+        return out
+
+    def dict_drop_top(self, f, g):
+        out = dict_mul(self, f, g)
+        top = max(out, default=None)
+        return {e: c for e, c in out.items() if e != top}
+
+    monkeypatch.setattr(F2LaurentLanes, "mul", lanes_drop_top)
+    monkeypatch.setattr(LaurentRing, "mul", dict_drop_top)
+    rep = char2_laurent_index3_check(5, 2, 1)
+    assert "sample 0: X_1 differs from closed form" in rep.failures
+    assert rep.failures == _reference_failures(1, 5, 2) + [
+        "sharpness instance collapsed to zero", "sharpness diagonal is not (x^-1 + x) u1^2"]
+
+
+def test_char2_laurent_index3_reports_exactly_the_sample_of_a_wrong_lane(monkeypatch):
+    # A product that drops the top term of lane 5 only.
+    mul = F2LaurentLanes.mul
+
+    def wrong_lane(self, f, g, lane=1 << 5):
+        out = mul(self, f, g)
+        top = max((e for e, m in out.items() if m & lane), default=None)
+        if top is not None:
+            out[top] ^= lane
+            if not out[top]:
+                del out[top]
+        return out
+
+    monkeypatch.setattr(F2LaurentLanes, "mul", wrong_lane)
+    rep = char2_laurent_index3_check(12, 2, 1)
+    assert rep.failures and {f.split(":")[0] for f in rep.failures} == {"sample 5"}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 31 - 1])
 def test_draw_masks_are_the_randrange_stream(seed):
-    # 5,000 draws take about 10,000 words, several blocks of them.
-    masks = _draw_masks(random.Random(seed), 1)
+    # The digit reader hands out the randrange(2) stream in pieces of any
+    # size; 5,000 draws take about 10,000 words, several blocks of them.
+    read = _draw_reader(random.Random(seed))
+    digits = b"".join(read(k) for k in (1, 7, 0, 4000, 992))
     rng = random.Random(seed)
-    assert [next(masks) for _ in range(5000)] == [rng.randrange(2) for _ in range(5000)]
+    draws = [rng.randrange(2) for _ in range(5000)]
+    assert digits == bytes(48 + d for d in draws)
+    # The check's lane masks: bit s of mask j is draw s * 40 + j.
+    assert [int(digits[j::40][::-1], 2) for j in range(40)] == [
+        sum(draws[s * 40 + j] << s for s in range(125)) for j in range(40)]
 
 
 @pytest.mark.parametrize("seed", [3, 7, 1909])
 def test_char2_laurent_index3_draws_the_randrange_polynomials(seed, monkeypatch):
     drawn = []
-    draw_masks = matrices._draw_masks
+    draw_reader = matrices._draw_reader
 
-    def recording(rng, width):
-        for mask in draw_masks(rng, width):
-            drawn.append((width, mask))
-            yield mask
+    def recording(rng):
+        read = draw_reader(rng)
 
-    monkeypatch.setattr(matrices, "_draw_masks", recording)
+        def reading(k):
+            digits = read(k)
+            drawn.append(digits)
+            return digits
+
+        return reading
+
+    monkeypatch.setattr(matrices, "_draw_reader", recording)
+    monkeypatch.setattr(matrices, "_LANES", 25)
     assert char2_laurent_index3_check(60, 3, seed).ok
-    # 24 polynomials a sample: a, b, c of four A and four B.
-    assert len(drawn) == 60 * 24
-    assert drawn == [(7, m) for m in _randrange_masks(random.Random(seed), 7, len(drawn))]
+    # 24 polynomials of 7 draws a sample: a, b, c of four A and four B.
+    assert [len(d) for d in drawn] == [25 * 24 * 7, 25 * 24 * 7, 10 * 24 * 7]
+    rng = random.Random(seed)
+    assert b"".join(drawn) == bytes(48 + rng.randrange(2) for _ in range(60 * 24 * 7))
 
 
 def test_char2_laurent_sharpness_diagonal():
@@ -370,22 +485,35 @@ def test_char2_laurent_identities_hold_on_module_generators():
 
     A multilinear identity holds everywhere exactly when it holds on every
     tuple of generators: the 16 pairs, the 256 4-tuples, and every pair of
-    the 256 second-level brackets.  They are checked on F2LaurentRing, the
-    ring of the prop3c-upper check.
+    the 256 second-level brackets.  They are checked on F2LaurentLanes, the
+    ring of the prop3c-upper check, each tuple as one lane.
     """
-    ctx, gens = _module_generators(F2LaurentRing())
-    ring = ctx.ring
-    for A, B in product(gens, repeat=2):
-        assert mat_bracket(ctx, A, B) == first_bracket_closed_form(ctx, A, B), (A, B)
-    seconds = []
-    for A1, B1, A2, B2 in product(gens, repeat=4):
-        Y = mat_bracket(ctx, mat_bracket(ctx, A1, B1), mat_bracket(ctx, A2, B2))
-        assert ring.is_zero(Y[0][1]) and ring.is_zero(Y[1][0])
-        assert Y[0][0] == diagonal_closed_form(ctx, A1, B1, A2, B2), (A1, B1, A2, B2)
-        seconds.append(Y)
+    _, gens = _module_generators(LaurentRing(F2))
+    pairs = list(product(gens, repeat=2))
+    lctx = MatrixRingCtx(2, F2LaurentLanes(len(pairs)))
+    A, B = (lane_matrix(t[k] for t in pairs) for k in range(2))
+    assert mat_bracket(lctx, A, B) == first_bracket_closed_form(lctx, A, B)
+    quads = list(product(gens, repeat=4))
+    lctx = MatrixRingCtx(2, F2LaurentLanes(len(quads)))
+    A1, B1, A2, B2 = (lane_matrix(t[k] for t in quads) for k in range(4))
+    Y = mat_bracket(lctx, mat_bracket(lctx, A1, B1), mat_bracket(lctx, A2, B2))
+    assert Y[0][1] == Y[1][0] == {}
+    assert Y[0][0] == diagonal_closed_form(lctx, A1, B1, A2, B2)
     # The second step is not zero, so the index is not 2.
-    assert sum(not mat_is_zero(ctx, Y) for Y in seconds) == 32
-    assert all(mat_is_zero(ctx, mat_bracket(ctx, Y1, Y2)) for Y1, Y2 in product(seconds, repeat=2))
+    assert matrices._lanes(sum(Y, ())).bit_count() == 32
+    # Every pair (Y_j, Y_k) of second-level brackets as lane 256 j + k.
+    n = len(quads)
+    ones, repunit = (1 << n) - 1, sum(1 << n * k for k in range(n))
+
+    def spread(v):  # lane j to lanes 256 j .. 256 j + 255
+        return {e: sum(ones << n * j for j in range(n) if m >> j & 1) for e, m in v.items()}
+
+    def repeat(v):  # lane k to lanes 256 j + k
+        return {e: m * repunit for e, m in v.items()}
+
+    pctx = MatrixRingCtx(2, F2LaurentLanes(n * n))
+    Y1, Y2 = (grid([[f(x) for x in row] for row in Y]) for f in (spread, repeat))
+    assert mat_is_zero(pctx, mat_bracket(pctx, Y1, Y2))
 
 
 def test_cor_laurent_degree_1_span_proves_index_3_over_f2():

@@ -13,10 +13,14 @@ from lpalab import (
     field_of_characteristic,
 )
 from lpalab import scalars
-from lpalab.matrices import F2LaurentRing, MatrixRingCtx, is_skew, mat_bracket
+from lpalab.matrices import F2LaurentLanes, MatrixRingCtx, is_skew, mat_bracket
 from helpers import (
+    assert_canonical_lanes,
     assert_canonical_laurent,
+    f2_lane,
+    f2_lanes,
     grid,
+    lane_matrix,
     random_field_elem,
     random_laurent,
     ref_laurent_add,
@@ -302,27 +306,6 @@ def test_laurent_mul_kronecker_slots_hold_the_largest_sums(fld, monkeypatch):
 F2 = field_from_spec("F2")
 
 
-def _packed(f: dict) -> tuple:
-    """The F2LaurentRing value of an F2 dict polynomial."""
-    if not f:
-        return (0, 0)
-    low = min(f)
-    return (low, sum(1 << (e - low) for e in f))
-
-
-def _unpacked(v: tuple) -> dict:
-    low, mask = v
-    return {low + i: 1 for i in range(mask.bit_length()) if mask >> i & 1}
-
-
-def assert_canonical_packed(v):
-    """(low, mask) of ints with mask odd, or the zero (0, 0)."""
-    assert type(v) is tuple and len(v) == 2
-    low, mask = v
-    assert type(low) is int and type(mask) is int and mask >= 0
-    assert v == (0, 0) or mask & 1
-
-
 def _packed_pairs(rng):
     """F2 dict polynomial pairs: zero, single terms, all-negative exponents,
     equal low ends, full cancellation, and factors with 20 or more terms."""
@@ -346,60 +329,59 @@ def _packed_pairs(rng):
 
 
 def test_packed_f2_laurent_matches_dict_ring_and_reference():
+    # Every pair is one lane of F2LaurentLanes, so lanes cancel at one
+    # exponent and not at another within a single operation.
     rng = random.Random(41)
-    ring, packed = LaurentRing(F2), F2LaurentRing()
-    assert (packed.zero, packed.one, packed.x()) == (_packed({}), _packed(ring.one),
-                                                     _packed(ring.x()))
+    ring = LaurentRing(F2)
+    pairs = _packed_pairs(rng)
+    n = len(pairs)
+    lanes = F2LaurentLanes(n)
+    assert lanes.zero == {} and all(f2_lane(lanes.one, s) == ring.one for s in range(n))
+    assert lanes.one == {0: (1 << n) - 1}
+    F, G = f2_lanes(f for f, _ in pairs), f2_lanes(g for _, g in pairs)
     widest = 0
-    for f, g in _packed_pairs(rng):
-        pf, pg = _packed(f), _packed(g)
-        for op, ref, dict_op in ((packed.add, ref_laurent_add, ring.add),
-                                 (packed.sub, ref_laurent_sub, ring.sub),
-                                 (packed.mul, ref_laurent_mul, ring.mul)):
-            got, want = op(pf, pg), ref(F2, f, g)
-            assert_canonical_packed(got)
+    for op, ref, dict_op in ((lanes.add, ref_laurent_add, ring.add),
+                             (lanes.sub, ref_laurent_sub, ring.sub),
+                             (lanes.mul, ref_laurent_mul, ring.mul)):
+        got = op(F, G)
+        assert_canonical_lanes(got, n)
+        for s, (f, g) in enumerate(pairs):
+            want = ref(F2, f, g)
             assert dict_op(f, g) == want
-            assert got == _packed(want) and _unpacked(got) == want
-            assert packed.is_zero(got) == ring.is_zero(want)
-            assert packed.to_str(got) == ring.to_str(want)
+            assert f2_lane(got, s) == want
             widest = max(widest, len(want))
-        for h, ph in ((f, pf), (g, pg)):
-            inv = packed.involute(ph)
-            assert_canonical_packed(inv)
-            assert _unpacked(inv) == ring.involute(h)
-            assert packed.neg(ph) == ph == _packed(ring.neg(h))
-            assert packed.is_zero(ph) == ring.is_zero(h)
-            assert packed.to_str(ph) == ring.to_str(h)
+    for H, hs in ((F, [f for f, _ in pairs]), (G, [g for _, g in pairs])):
+        inv = lanes.involute(H)
+        assert_canonical_lanes(inv, n)
+        assert lanes.neg(H) == H
+        for s, h in enumerate(hs):
+            assert f2_lane(inv, s) == ring.involute(h)
+            assert ring.neg(h) == h
+            assert lanes.is_zero(f2_lanes([h])) == ring.is_zero(h)
     assert widest > 20
 
 
-def test_packed_f2_laurent_from_bits():
-    packed = F2LaurentRing()
-    assert packed.from_bits(-3, 0) == packed.zero
-    assert packed.from_bits(-3, 0b10100) == (-1, 0b101)
-    assert packed.to_str(packed.from_bits(-3, 0b10110)) == "x^-2 + x^-1 + x"
-
-
 def _skew_pair(rng):
-    """One random skew 2x2 matrix [[a, b], [b~, c]] with a~ = a and c~ = c,
-    as rows over LaurentRing(F2) and as packed rows."""
+    """One random skew 2x2 matrix [[a, b], [b~, c]] over LaurentRing(F2),
+    with a~ = a and c~ = c."""
     ring = LaurentRing(F2)
     h1, h2, b = (random_laurent(F2, rng, rng.randint(0, 6), -4, 4) for _ in range(3))
     a, c = (ring.add(h, ring.involute(h)) for h in (h1, h2))
-    rows = [[a, b], [ring.involute(b), c]]
-    return rows, [[_packed(e) for e in row] for row in rows]
+    return grid([[a, b], [ring.involute(b), c]])
 
 
 def test_packed_f2_laurent_mat_bracket_matches_dict_ring():
+    # 200 random skew pairs, one lane each.
     rng = random.Random(43)
-    dctx, pctx = MatrixRingCtx(2, LaurentRing(F2)), MatrixRingCtx(2, F2LaurentRing())
-    for _ in range(200):
-        (dA, pA), (dB, pB) = _skew_pair(rng), _skew_pair(rng)
-        dA, dB, pA, pB = grid(dA), grid(dB), grid(pA), grid(pB)
-        assert is_skew(dctx, dA) and is_skew(pctx, pA)
-        got, want = mat_bracket(pctx, pA, pB), mat_bracket(dctx, dA, dB)
+    dctx, lctx = MatrixRingCtx(2, LaurentRing(F2)), MatrixRingCtx(2, F2LaurentLanes(200))
+    As, Bs = zip(*((_skew_pair(rng), _skew_pair(rng)) for _ in range(200)))
+    A, B = lane_matrix(As), lane_matrix(Bs)
+    assert is_skew(lctx, A) and all(is_skew(dctx, M) for M in As)
+    got = mat_bracket(lctx, A, B)
+    for s in range(200):
+        want = mat_bracket(dctx, As[s], Bs[s])
         for got_row, want_row in zip(got, want):
             for g, w in zip(got_row, want_row):
-                assert_canonical_packed(g)
-                assert g == _packed(w)
-        assert is_skew(pctx, got)
+                assert_canonical_lanes(g, 200)
+                assert f2_lane(g, s) == w
+    assert is_skew(lctx, got)
