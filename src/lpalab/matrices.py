@@ -370,6 +370,11 @@ class F2LaurentLanes:
     def __init__(self, n: int):
         self.one = {0: (1 << n) - 1}
 
+    def from_bits(self, low: int, masks) -> dict:
+        """The value whose mask of x^(low + i) is masks[i]; zero masks are
+        dropped."""
+        return {low + i: m for i, m in enumerate(masks) if m}
+
     def add(self, f: dict, g: dict) -> dict:
         out = dict(f)
         for e, m in g.items():
@@ -528,8 +533,7 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
         ctx = MatrixRingCtx(2, ring)
         digits = read(24 * w * n)
         masks = [int(digits[j::24 * w][::-1], 2) for j in range(24 * w)]
-        polys = [{i - degree_bound: m for i, m in enumerate(masks[t * w:t * w + w]) if m}
-                 for t in range(24)]
+        polys = [ring.from_bits(-degree_bound, masks[t * w:t * w + w]) for t in range(24)]
         # Per matrix: a skew scalar h + h~, a polynomial b, a skew scalar;
         # A1, B1, A2, B2, ... in turn.
         mats = [_skew_2x2(ring, ring.add(a, ring.involute(a)), b,

@@ -361,6 +361,18 @@ def test_packed_f2_laurent_matches_dict_ring_and_reference():
     assert widest > 20
 
 
+def test_packed_f2_laurent_from_bits():
+    lanes = F2LaurentLanes(3)
+    assert lanes.from_bits(-3, [0, 0, 0]) == lanes.zero
+    assert lanes.from_bits(-3, [0, 0, 0b1, 0, 0b1]) == {-1: 1, 1: 1}
+    v = lanes.from_bits(-3, [0, 0b011, 0b111, 0, 0b001])
+    assert_canonical_lanes(v, 3)
+    ring = LaurentRing(F2)
+    assert ring.to_str(f2_lane(v, 0)) == "x^-2 + x^-1 + x"
+    assert ring.to_str(f2_lane(v, 1)) == "x^-2 + x^-1"
+    assert ring.to_str(f2_lane(v, 2)) == "x^-1"
+
+
 def _skew_pair(rng):
     """One random skew 2x2 matrix [[a, b], [b~, c]] over LaurentRing(F2),
     with a~ = a and c~ = c."""
