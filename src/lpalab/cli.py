@@ -20,7 +20,6 @@ from .classify import classify, cross_validate
 from .exprs import ExprError, format_element, parse_element
 from .graphs import GraphError, validate_graph
 from .scalars import (
-    LaurentRing,
     MatrixLabError,
     ScalarError,
     field_from_spec,
@@ -63,8 +62,13 @@ def _load_graph(path: str):
             raw = json.load(fh)
     except UnicodeDecodeError:
         raise GraphError(f"{path}: not UTF-8 text") from None
-    except (RecursionError, ValueError) as exc:  # bad JSON, deep nesting, a huge integer
+    except json.JSONDecodeError as exc:
         raise GraphError(str(exc)) from None
+    except RecursionError:
+        raise GraphError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # an integer past the digit limit of int-from-string conversion
+        raise GraphError(f"{path}: JSON integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     return validate_graph(raw)
 
 
@@ -126,7 +130,7 @@ def _cmd_matrix(args) -> int:
         rep = matrices.char2_laurent_index3_check(0, args.degree, args.seed, fld)
         rep.case = "prop3c-sharp"
     elif case == "prop3d":
-        ring = LaurentRing(fld)
+        ring = matrices.witness_ring(fld)
         u = ring.sub(ring.x(), ring.x_inv())
         rep = matrices.witness_laurent_nonsolvable(ring, u,
                                                    args.steps if args.steps is not None else 6)

@@ -9,7 +9,11 @@ built from their nonzero entries {(i, j): x}, 1-indexed, by ``dense``.
 Entries must commute (both kinds of entry ring are commutative): the bracket
 kernel ``mat_bracket`` cancels and pairs terms of AB - BA by that fact.  The
 series of the corollary spans bracket their rows as sparse cells instead
-(``matrix_pair_op``), since those rows have one or two nonzero entries.
+(``matrix_pair_op``), since those rows have one or two nonzero entries.  Those
+rows are skew, so a span keeps each only on its coordinates k <= k*
+(``_half``), as the path-algebra probe does, and a bracket forms only the
+cells on and above the diagonal.  Over Q the Laurent witness recursion runs
+on ``scalars.Z`` (``witness_ring``).
 
 The characteristic-2 index-3 check runs its samples side by side on
 ``F2LaurentLanes``, F2[x, x^-1]^n with sample s in bit s of every
@@ -24,7 +28,7 @@ import random
 
 from .algebra import LeavittAlgebra, corner_embedding, forbidden_embedding_units, unit_embedding
 from .graphs import Graph
-from .scalars import LaurentRing, MatrixLabError
+from .scalars import LaurentRing, MatrixLabError, Z
 from .series import SeriesError, Subspace, _run_series
 
 
@@ -287,6 +291,12 @@ def witness_nilpotent_char2(ring, steps: int) -> MatrixReport:
             rep.failures.append(f"step {m}: iterated bracket vanished")
     rep.steps_checked = steps
     return rep
+
+
+def witness_ring(fld) -> LaurentRing:
+    """K[x, x^-1] for the Laurent witness recursion: over Q it runs on Z,
+    fraction-free, since from u = x - x^-1 every closed form is integral."""
+    return LaurentRing(Z if fld.characteristic == 0 else fld)
 
 
 def witness_laurent_nonsolvable(ring: LaurentRing, u: dict, steps: int) -> MatrixReport:
@@ -591,22 +601,29 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
 
 
 def mat_to_vec(ctx: MatrixRingCtx, A) -> dict:
-    """Flatten to sparse coordinates: (i, j) for fields, (i, j, exp) for
-    Laurent entries, over the base field either way."""
-    return _flatten(ctx.ring, {(i, j): A[i][j] for i in range(ctx.n) for j in range(ctx.n)})
+    """The span row of a skew matrix: its coordinates (i, j) over a field,
+    (i, j, exp) over K[x, x^-1], in the base field, kept only on H
+    (``_half``)."""
+    n = ctx.n
+    return _half(ctx.ring, {(i, j): A[i][j] for i in range(n) for j in range(i, n)})
 
 
-def _flatten(ring, cells: dict) -> dict:
-    """Span coordinates of the cells {(i, j): entry}, 0-indexed; zero cells
-    are dropped."""
+def _half(ring, cells: dict) -> dict:
+    """Span coordinates of the cells {(i, j): entry}, 0-indexed, i <= j, on
+    H = {k : k <= k*}, where (i, j)* = (j, i) and (i, j, e)* = (j, i, -e):
+    zero cells are dropped, and a diagonal Laurent cell keeps its exponents
+    e <= 0.  A skew row is determined by its coordinates on H, since the
+    coordinate k* is -1 times (1 times in characteristic 2) the coordinate k,
+    and its least key lies in H."""
     is_zero = ring.is_zero
     if not isinstance(ring, LaurentRing):
         return {ij: x for ij, x in cells.items() if not is_zero(x)}
     return {(i, j, e): c for (i, j), x in cells.items() if not is_zero(x)
-            for e, c in x.items()}
+            for e, c in x.items() if i < j or e <= 0}
 
 
 def matrix_span(ctx: MatrixRingCtx, matrices) -> Subspace:
+    """The span of skew matrices, on their rows' coordinates in H."""
     fld = ctx.ring.field if isinstance(ctx.ring, LaurentRing) else ctx.ring
     s = Subspace(fld)
     for M in matrices:
@@ -615,25 +632,36 @@ def matrix_span(ctx: MatrixRingCtx, matrices) -> Subspace:
 
 
 def matrix_pair_op(ctx: MatrixRingCtx) -> tuple:
-    """(lift, op) for the series of a matrix span, bracketing sparse cells.
+    """(lift, op) for the series of a span of skew matrices, bracketing
+    sparse cells.
 
-    ``lift`` groups a flattened span row into its nonzero cells by row index,
-    {i: [(k, entry), ...]}; ``op`` brackets two lifted rows and flattens the
-    result.  [A, B] = sum of A_ik B_kj - B_ik A_kj over the cell pairs whose
-    inner indices k meet, so cells that are zero cost nothing: the corollary
-    spans start from rows of one or two cells.  The ring's operations are
-    looked up per bracket, so a wrapper put on the ring class sees them.
+    ``lift`` rebuilds a span row whole, mirroring each coordinate k off the
+    fixed points to k* with the sign of a skew row, and groups it into its
+    nonzero cells by row index, {i: [(k, entry), ...]}; ``op`` brackets two
+    lifted rows.  [A, B] = sum of A_ik B_kj - B_ik A_kj over the cell pairs
+    whose inner indices k meet, so cells that are zero cost nothing: the
+    corollary spans start from rows of one or two cells.  The bracket of skew
+    matrices is skew, so ``op`` builds only the cells i <= j and returns the
+    row on H.  The ring's operations are looked up per bracket, so a wrapper
+    put on the ring class sees them.
     """
     ring = ctx.ring
     laurent = isinstance(ring, LaurentRing)
+    fld = ring.field if laurent else ring
+    sign = fld.neg if fld.characteristic != 2 else lambda c: c
 
     def lift(vec: dict) -> dict:
+        cells: dict = {}
         if laurent:
-            cells: dict = {}
             for (i, j, e), c in vec.items():
                 cells.setdefault((i, j), {})[e] = c
+                if i != j or e:
+                    cells.setdefault((j, i), {})[-e] = sign(c)
         else:
-            cells = vec
+            for (i, j), c in vec.items():
+                cells[(i, j)] = c
+                if i != j:
+                    cells[(j, i)] = sign(c)
         rows: dict = {}
         for (i, k), x in cells.items():
             rows.setdefault(i, []).append((k, x))
@@ -642,11 +670,11 @@ def matrix_pair_op(ctx: MatrixRingCtx) -> tuple:
     def op(A: dict, B: dict) -> dict:
         mul, add, sub, neg = ring.mul, ring.add, ring.sub, ring.neg
         out: dict = {}
-        # A_ii B_ii and B_ii A_ii cancel, so i = k = j is skipped.
+        # Only cells i <= j are formed; A_ii B_ii and B_ii A_ii cancel, so i = k = j is skipped.
         for i, row in A.items():
             for k, a in row:
                 for j, b in B.get(k, ()):
-                    if i == k == j:
+                    if j < i or i == k == j:
                         continue
                     p = mul(a, b)
                     x = out.get((i, j))
@@ -654,12 +682,12 @@ def matrix_pair_op(ctx: MatrixRingCtx) -> tuple:
         for i, row in B.items():
             for k, b in row:
                 for j, a in A.get(k, ()):
-                    if i == k == j:
+                    if j < i or i == k == j:
                         continue
                     p = mul(b, a)
                     x = out.get((i, j))
                     out[(i, j)] = neg(p) if x is None else sub(x, p)
-        return _flatten(ring, out)
+        return _half(ring, out)
 
     return lift, op
 
@@ -698,7 +726,7 @@ def corollary_laurent_check(fld, degree_bound: int = 2, depth: int = 8) -> Matri
     index exactly 3 and no nilpotency; otherwise the derived series of the
     degree-bounded span stays nonzero (the witness recursion is the proof).
     The series bracket sparse cells (``matrix_pair_op``) whose entries
-    multiply through ``LaurentRing.mul``."""
+    multiply through ``LaurentRing.mul``; the witness runs on ``witness_ring``."""
     ring = LaurentRing(fld)
     ctx = MatrixRingCtx(2, ring)
     S0 = matrix_span(ctx, skew_matrix_basis(ctx, degree_bound))
@@ -717,8 +745,9 @@ def corollary_laurent_check(fld, degree_bound: int = 2, depth: int = 8) -> Matri
         if vanished is not None:
             rep.failures.append(f"derived series vanished at {vanished}; "
                                 "the degree-bounded span should stay nonzero")
-        u = ring.sub(ring.x(), ring.x_inv())
-        inner = witness_laurent_nonsolvable(ring, u, max(depth, 6))
+        wring = witness_ring(fld)
+        u = wring.sub(wring.x(), wring.x_inv())
+        inner = witness_laurent_nonsolvable(wring, u, max(depth, 6))
         rep.failures.extend(f"witness: {f}" for f in inner.failures)
     rep.steps_checked = depth
     rep.notes.append(f"derived dims: {dims}")

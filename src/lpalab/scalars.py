@@ -22,12 +22,9 @@ slots needed about 32 pairs a slot.  So it is used from 256 term pairs and
 16 pairs a slot (32 past 256-bit slots).  The witness recursion v' = 4v^3
 multiplies dense factors of up to 244 terms, with about 120 pairs a slot.
 
-``Z`` is the ring of integers, for path-algebra work over Q without
-fractions: the skew and symmetric generators have coefficients +-1, so every
-product of integer combinations is again integral, and integer echelon rows
-span over Q what the rational rows span.  It offers only the ring operations
-(``zero``, ``one``, ``from_int``, ``add``, ``sub``, ``mul``, ``is_zero``);
-there is no ``inv``, so a caller that needs division has to scale instead.
+``Z`` is the ring of integers, for work over Q where every product stays
+integral (the probe's +-1 generators, the Laurent witness from x - x^-1); it
+has no ``inv``, so a caller that needs division scales instead.
 """
 
 from __future__ import annotations
@@ -202,7 +199,15 @@ class IntegerRing:
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
     is_zero = staticmethod(operator.not_)
+    to_str = staticmethod(str)
+
+    def integer_coeffs(self, f: dict) -> tuple:
+        return f, 1
+
+    def reduce_coeffs(self, acc: dict, den: int) -> dict:
+        return {e: c for e, c in acc.items() if c}
 
     def __repr__(self):
         return "Z"
@@ -270,7 +275,8 @@ def _kronecker_mul(f: dict, g: dict):
         return None
     width = (bits + 7) // 8
     bias = bytes(width - 1) + b"\x80"
-    prod = (_pack(f, lf, step, nf, width) * _pack(g, lg, step, ng, width)
+    pf = _pack(f, lf, step, nf, width)  # a square packs once; CPython squares faster
+    prod = (pf * (pf if g is f else _pack(g, lg, step, ng, width))
             + int.from_bytes(bias * slots, "little"))
     buf = prod.to_bytes(width * slots, "little")
     half, low = 1 << (8 * width - 1), lf + lg

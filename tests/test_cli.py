@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,15 @@ MALFORMED = {
 }
 
 
+# What follows "<path>: " in the error of the files that JSON cannot load
+# as written, in words a command-line user can act on.
+MALFORMED_TEXT = {
+    "nested-too-deeply": "JSON nested too deeply",
+    "integer-too-long": f"JSON integer of more than {sys.get_int_max_str_digits()} digits",
+    "not-utf8": "not UTF-8 text",
+}
+
+
 @pytest.mark.parametrize("name", MALFORMED)
 def test_verify_rejects_a_malformed_graph_file(tmp_path, capsys, name):
     path = tmp_path / "g.json"
@@ -245,6 +255,8 @@ def test_verify_rejects_a_malformed_graph_file(tmp_path, capsys, name):
     code, out, err = run(capsys, "verify", "--graph", str(path), "--field", "F2")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if name in MALFORMED_TEXT:
+        assert err == f"error: {path}: {MALFORMED_TEXT[name]}\n"
 
 
 @pytest.mark.parametrize("name", MALFORMED)
@@ -257,6 +269,8 @@ def test_corpus_goes_on_past_a_malformed_graph_file(tmp_path, capsys, name):
     assert [(e["file"], e["status"]) for e in obj["entries"]] == \
         [("a_bad.json", "ERROR")] * 2 + [("b_e4.json", "AGREE")] * 2
     assert obj["entries"][0]["error"] == obj["entries"][1]["error"]
+    if name in MALFORMED_TEXT:
+        assert obj["entries"][0]["error"] == f"{tmp_path / 'a_bad.json'}: {MALFORMED_TEXT[name]}"
     assert obj["summary"] == {"AGREE": 2, "CONSISTENT": 0, "FAIL": 0, "ERROR": 2}
 
 

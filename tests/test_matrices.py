@@ -17,7 +17,7 @@ from lpalab import (
     find_forbidden_subgraph,
     forbidden_embedding_units,
 )
-from lpalab import matrices
+from lpalab import matrices, scalars
 from lpalab.matrices import (
     F2LaurentLanes,
     MatrixRingCtx,
@@ -43,7 +43,7 @@ from lpalab.matrices import (
     witness_nge3,
     witness_nilpotent_char2,
 )
-from lpalab.series import SeriesError, _run_series, product_span
+from lpalab.series import SeriesError, Subspace, _run_series, product_span
 from helpers import (
     assert_canonical_laurent,
     build_corpus_graph,
@@ -232,6 +232,16 @@ def test_witness_laurent_nonsolvable():
         witness_laurent_nonsolvable(ring, ring.x(), 3)
     with pytest.raises(MatrixLabError, match="characteristic"):
         witness_laurent_nonsolvable(LaurentRing(F2), u, 3)
+
+
+def test_witness_laurent_nonsolvable_on_z_is_the_rational_run():
+    # prop3d over Q runs on Z: u = x - x^-1 and every closed form is
+    # integral, and the integers print as the fractions do.
+    zr, qr = LaurentRing(scalars.Z), LaurentRing(Q)
+    for steps in range(1, 8):
+        reports = [witness_laurent_nonsolvable(r, r.sub(r.x(), r.x_inv()), steps).to_json_obj()
+                   for r in (zr, qr)]
+        assert reports[0] == reports[1] and not reports[0]["failures"], steps
 
 
 def test_char2_laurent_closed_forms_trivial_tuple():
@@ -526,7 +536,8 @@ def test_cor_laurent_degree_1_span_proves_index_3_over_f2():
     ctx, gens = _module_generators(LaurentRing(F2))
     for degree, held in ((1, [True] * 4), (0, [True, True, True, False])):
         span = matrix_span(ctx, skew_matrix_basis(ctx, degree))
-        assert [span.reduce(mat_to_vec(ctx, G)) == {} for G in gens] == held
+        # The span keeps skew rows on H, so each generator is reduced as its half.
+        assert [span.reduce(_on_h(_full_vec(ctx, G))) == {} for G in gens] == held
     rep = corollary_laurent_check(F2, 1, 8)
     assert rep.ok and rep.notes == ["derived dims: [7, 7, 4, 0]"]
     rep = corollary_laurent_check(F2, 0, 8)
@@ -615,8 +626,22 @@ def test_mat_arithmetic_matches_entrywise_reference():
 # sparse cell brackets of the corollary spans against the dense route
 
 
+def _full_vec(ctx, M):
+    """Every nonzero coordinate of a matrix: the dense route's row."""
+    ring, idx = ctx.ring, range(ctx.n)
+    if not isinstance(ring, LaurentRing):
+        return {(i, j): M[i][j] for i in idx for j in idx if not ring.is_zero(M[i][j])}
+    return {(i, j, e): c for i in idx for j in idx for e, c in M[i][j].items()}
+
+
+def _on_h(vec):
+    """The coordinates k <= k* of a row, where (i, j)* = (j, i) and
+    (i, j, e)* = (j, i, -e)."""
+    return {k: c for k, c in vec.items() if k <= (k[1], k[0], *(-e for e in k[2:]))}
+
+
 def _vec_to_mat(ctx, vec):
-    """The dense matrix of a flattened span row."""
+    """The dense matrix of a full row."""
     if not isinstance(ctx.ring, LaurentRing):
         return dense(ctx, {(i + 1, j + 1): c for (i, j), c in vec.items()})
     cells = {}
@@ -626,29 +651,82 @@ def _vec_to_mat(ctx, vec):
 
 
 def _dense_pair_op(ctx):
-    """The reference: both rows made dense, the commutator kernel, flattened."""
-    return lambda a, b: mat_to_vec(ctx, mat_bracket(ctx, _vec_to_mat(ctx, a),
-                                                    _vec_to_mat(ctx, b)))
+    """The reference on full rows: both made dense, the commutator kernel,
+    every coordinate of the result."""
+    return lambda a, b: _full_vec(ctx, mat_bracket(ctx, _vec_to_mat(ctx, a),
+                                                   _vec_to_mat(ctx, b)))
+
+
+def _cell_bracket_mismatches(ctx, lift, op, rng) -> int:
+    """How many of 40 pairs of random skew matrices, at densities 0.15 to 1,
+    the span row, ``lift`` or ``op`` gets wrong.  The span row must be the
+    matrix's coordinates on H, its lift the whole matrix cell by cell, and
+    the bracket of two lifted rows the dense route's bracket on H, zero for
+    a matrix with itself."""
+    ref = _dense_pair_op(ctx)
+    bad = 0
+    for density in (0.15, 0.3, 0.5, 0.8, 1.0) * 8:
+        A, B = _random_skew_mat(ctx, rng, density), _random_skew_mat(ctx, rng, density)
+        a, b = mat_to_vec(ctx, A), mat_to_vec(ctx, B)
+        cells = {(i + 1, k + 1): x for i, row in lift(a).items() for k, x in row}
+        bad += not (a == _on_h(_full_vec(ctx, A)) and dense(ctx, cells) == A
+                    and op(lift(a), lift(b)) == _on_h(ref(_full_vec(ctx, A), _full_vec(ctx, B)))
+                    and op(lift(a), lift(a)) == {})
+    return bad
+
+
+_CELL_RINGS = [F2, F3, field_from_spec("F5"), Q, LaurentRing(F2), LaurentRing(F3), LaurentRing(Q)]
 
 
 def test_cell_bracket_matches_dense_route():
-    # Sparse matrices of every density, so that cells meet on some inner
+    # Sparse skew matrices of every density, so that cells meet on some inner
     # indices and not on others; over the fields (and F2 above all) whole
     # cells cancel to zero and must be dropped.
     rng = random.Random(41)
-    F5 = field_from_spec("F5")
-    rings = [F2, F3, F5, Q, LaurentRing(F2), LaurentRing(F3), LaurentRing(Q)]
-    densities = [0.15, 0.3, 0.5, 0.8, 1.0]
-    for ring in rings:
+    for ring in _CELL_RINGS:
         for n in (1, 2, 3, 4):
             ctx = MatrixRingCtx(n, ring)
+            assert _cell_bracket_mismatches(ctx, *matrix_pair_op(ctx), rng) == 0, (ring, n)
+
+
+def test_cell_bracket_check_catches_a_lift_that_keeps_the_sign():
+    # The mirrored coordinates negated back: harmless in characteristic 2
+    # only, where the sign of a skew row is +1.
+    rng = random.Random(43)
+    for ring in _CELL_RINGS:
+        laurent = isinstance(ring, LaurentRing)
+        fld = ring.field if laurent else ring
+        for n in (2, 3):
+            ctx = MatrixRingCtx(n, ring)
             lift, op = matrix_pair_op(ctx)
-            ref = _dense_pair_op(ctx)
-            for density in densities * 8:
-                a = mat_to_vec(ctx, _random_entry_mat(ctx, rng, density))
-                b = mat_to_vec(ctx, _random_entry_mat(ctx, rng, density))
-                assert op(lift(a), lift(b)) == ref(a, b)
-                assert op(lift(a), lift(a)) == {}
+
+            def unsigned(i, k, x):
+                if k < i:
+                    return ring.neg(x)
+                if k == i and laurent:
+                    return {e: fld.neg(c) if e > 0 else c for e, c in x.items()}
+                return x
+
+            def keeping_sign(vec):
+                return {i: [(k, unsigned(i, k, x)) for k, x in row]
+                        for i, row in lift(vec).items()}
+
+            bad = _cell_bracket_mismatches(ctx, keeping_sign, op, rng)
+            assert (bad == 0) == (fld.characteristic == 2), (ring, n)
+
+
+def test_cell_bracket_check_catches_a_half_that_keeps_positive_exponents(monkeypatch):
+    # The other half of each diagonal Laurent cell, e >= 0, is just as
+    # injective on skew rows, but its rows are not the dense route's on H.
+    def other_half(ring, cells):
+        return {(i, j, e): c for (i, j), x in cells.items() for e, c in x.items()
+                if i < j or e >= 0}
+
+    monkeypatch.setattr(matrices, "_half", other_half)
+    rng = random.Random(47)
+    for ring in _CELL_RINGS[4:]:
+        ctx = MatrixRingCtx(2, ring)
+        assert _cell_bracket_mismatches(ctx, *matrix_pair_op(ctx), rng) > 0, ring
 
 
 def _steps(S0, pair_op, lift, depth, lower_central):
@@ -670,12 +748,16 @@ def _steps(S0, pair_op, lift, depth, lower_central):
 ])
 def test_corollary_series_steps_match_dense_route(ring_name, degree_bound):
     # The cor-field and cor-laurent spans: every step of both series has the
-    # canonical rows the dense route gives, and the series loop reports the
-    # same dims, vanishing step, witness and fixed point.
+    # dense route's canonical rows on H, and the series loop reports the same
+    # dims, vanishing step, witness on H and fixed point.
     fld = field_from_spec(ring_name.removesuffix("[x]"))
     ring = LaurentRing(fld) if ring_name.endswith("[x]") else fld
     ctx = MatrixRingCtx(2, ring)
-    S0 = matrix_span(ctx, skew_matrix_basis(ctx, degree_bound))
+    basis = skew_matrix_basis(ctx, degree_bound)
+    S0, full = matrix_span(ctx, basis), Subspace(fld)
+    for M in basis:
+        full.insert(_full_vec(ctx, M))
+    assert S0.rows == [_on_h(r) for r in full.rows]
     lift, op = matrix_pair_op(ctx)
     ref = _dense_pair_op(ctx)
     # Away from characteristic 2 the Laurent entry degrees double per derived
@@ -684,10 +766,12 @@ def test_corollary_series_steps_match_dense_route(ring_name, degree_bound):
     nonzero = 0
     for lower_central in (False, True):
         steps = _steps(S0, op, lift, depth, lower_central)
-        assert steps == _steps(S0, ref, None, depth, lower_central)
+        assert steps == [[_on_h(r) for r in rows]
+                         for rows in _steps(full, ref, None, depth, lower_central)]
         nonzero += sum(1 for rows in steps if rows)
+        dims, vanished, witness, stabilized = _run_series(full, ref, depth, lower_central)
         assert _run_series(S0, op, depth, lower_central, lift=lift) == \
-            _run_series(S0, ref, depth, lower_central)
+            (dims, vanished, _on_h(witness), stabilized)
     # Away from characteristic 2 a span of one matrix is abelian: the skew
     # 2x2 matrices over a field, and over K[x, x^-1] at degree bound 0.
     abelian = fld.characteristic != 2 and degree_bound == 0
@@ -701,8 +785,9 @@ def test_cor_laurent_multiplies_through_the_laurent_ring(monkeypatch):
     mul = LaurentRing.mul
     monkeypatch.setattr(LaurentRing, "mul", lambda self, f, g: calls.append(1) or mul(self, f, g))
     assert corollary_laurent_check(F2, 3, 8).ok
-    # 15,820 with the cancelling diagonal products A_ii B_ii and B_ii A_ii.
-    assert len(calls) == 13728
+    # 15,820 with the cancelling diagonal products A_ii B_ii and B_ii A_ii,
+    # 13,728 with the cells below the diagonal of every bracket.
+    assert len(calls) == 10198
 
 
 def test_cell_bracket_skips_cancelling_diagonal_products(monkeypatch):
@@ -711,11 +796,14 @@ def test_cell_bracket_skips_cancelling_diagonal_products(monkeypatch):
     monkeypatch.setattr(LaurentRing, "mul", lambda self, f, g: calls.append(1) or mul(self, f, g))
     ring = LaurentRing(F3)
     lift, op = matrix_pair_op(MatrixRingCtx(2, ring))
-    a, b = {(0, 0, -1): 1, (0, 0, 2): 2}, {(0, 0, 1): 1, (1, 1, 0): 2}
+    # Skew diagonals x^-1 - x + 2x^-2 - 2x^2 and x^-1 - x, 2x^-3 - 2x^3.
+    a, b = {(0, 0, -1): 1, (0, 0, -2): 2}, {(0, 0, -1): 1, (1, 1, -3): 2}
     assert op(lift(a), lift(b)) == {} and calls == []
-    # A_01 B_11 - B_00 A_01 is the one cell left, from two products.
+    # With E12 - E21 in a, A_01 B_11 - B_00 A_01 is the one cell on H, from
+    # two products; the cell (1, 0) below the diagonal is not formed.
     a[(0, 1, 0)] = 1
-    assert op(lift(a), lift(b)) == {(0, 1, 0): 2, (0, 1, 1): 2} and len(calls) == 2
+    assert op(lift(a), lift(b)) == {(0, 1, -3): 2, (0, 1, -1): 2, (0, 1, 1): 1, (0, 1, 3): 1}
+    assert len(calls) == 2
 
 
 class _CountingField:
@@ -743,18 +831,23 @@ def test_mat_bracket_makes_n_n1_2n1_entry_products():
             ctx, _reference_mul(ctx, A, B), _reference_mul(ctx, B, A))
 
 
-def _random_skew_mat(ctx, rng):
-    """Random entries above the diagonal, -a~ mirrored below it, and diagonal
-    entries d with d~ = -d (a random d that is not is replaced by d - d~)."""
+def _random_skew_mat(ctx, rng, density=1.0):
+    """Random entries on and above the diagonal, each nonzero with
+    probability ``density``, -a~ mirrored below it, and diagonal entries d
+    with d~ = -d (a random d that is not is replaced by d - d~)."""
     ring, entry = ctx.ring, _entry_sampler(ctx.ring, rng)
+
+    def draw():
+        return entry() if density >= 1 or rng.random() < density else ring.zero
+
     rows = [[ring.zero] * ctx.n for _ in range(ctx.n)]
     for i in range(ctx.n):
-        d = entry()
+        d = draw()
         if ring.involute(d) != ring.neg(d):
             d = ring.sub(d, ring.involute(d))
         rows[i][i] = d
         for j in range(i + 1, ctx.n):
-            rows[i][j] = entry()
+            rows[i][j] = draw()
             rows[j][i] = ring.neg(ring.involute(rows[i][j]))
     return grid(rows)
 
@@ -902,8 +995,12 @@ def test_driver_detects_wrong_laurent_closed_form(monkeypatch):
                              (u,), (ring.add(u, u),))
 
     monkeypatch.setattr(matrices, "laurent_closed_forms", off)
-    ring = LaurentRing(Q)
-    rep = witness_laurent_nonsolvable(ring, ring.sub(ring.x(), ring.x_inv()), 3)
-    assert rep.failures[0] == "step 1: X differs from closed form"
+    # The same failures on Z, where prop3d over Q runs, as on Q.
+    failures = []
+    for ring in (LaurentRing(scalars.Z), LaurentRing(Q)):
+        failures.append(witness_laurent_nonsolvable(ring, ring.sub(ring.x(), ring.x_inv()),
+                                                    3).failures)
+    assert failures[0] == failures[1]
+    assert failures[0][0] == "step 1: X differs from closed form"
     with pytest.raises(SeriesError, match="step 1: X differs from closed form"):
         laurent_corner_certificate(e3_graph(), Q, "e", ["f", "e"], 3)

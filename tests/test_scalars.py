@@ -303,6 +303,63 @@ def test_laurent_mul_kronecker_slots_hold_the_largest_sums(fld, monkeypatch):
     assert taken == [True] * len(cases)
 
 
+def _integer_laurent(rng, terms, low, high, bits):
+    """terms nonzero integers of up to ``bits`` bits, either sign, at
+    distinct exponents in [low, high]."""
+    return {e: rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1)
+            for e in rng.sample(range(low, high + 1), terms)}
+
+
+def test_integer_laurent_ops_match_schoolbook_reference(monkeypatch):
+    # LaurentRing(Z) is where prop3d over Q runs.  Small and dense factors,
+    # small and 200-bit coefficients, and a difference that cancels.
+    rng = random.Random(31)
+    Z, ring = scalars.Z, LaurentRing(scalars.Z)
+    taken = _record_kronecker(monkeypatch)
+    shapes = [(0, 0), (0, 3), (1, 1), (5, 7), (40, 40), (70, 50)]
+    for nf, ng in shapes * 4:
+        bits = rng.choice((1, 8, 64, 200))
+        f, g = (_integer_laurent(rng, n, -40, 39, bits) for n in (nf, ng))
+        for op, ref in ((ring.mul, ref_laurent_mul), (ring.add, ref_laurent_add),
+                        (ring.sub, ref_laurent_sub)):
+            got = op(f, g)
+            assert got == ref(Z, f, g)
+            assert all(type(c) is int and c for c in got.values())
+        assert ring.sub(f, f) == {} == ring.add(f, ring.neg(f))
+        assert ring.involute(ring.involute(f)) == f
+    assert True in taken and False in taken
+
+
+def test_kronecker_square_packs_once_and_matches_schoolbook(monkeypatch):
+    # f times itself for dense f of n terms and b-bit coefficients: from
+    # n = 16 LaurentRing.mul offers the product (256 term pairs), from n = 32
+    # it has 16 pairs a slot, and slots of 2b + 7 bits (n = 32..63) pass 256
+    # bits at b = 125, where 32 pairs a slot are needed.  A square that packs
+    # goes through one _pack, and equals the product of f with a copy of
+    # itself, which packs both factors.
+    rng = random.Random(59)
+    ring = LaurentRing(scalars.Z)
+    taken = _record_kronecker(monkeypatch)
+    packs = []
+    pack = scalars._pack
+    monkeypatch.setattr(scalars, "_pack", lambda *a: packs.append(1) or pack(*a))
+    outcomes = {}
+    for n in (15, 16, 31, 32, 40, 63, 64, 70):
+        for b in (1, 60, 124, 125, 200):
+            f = _integer_laurent(rng, n, -n // 2, n - n // 2 - 1, b)
+            f[max(f)] = 2 ** b - 1
+            want = ref_laurent_mul(scalars.Z, f, f)
+            del packs[:], taken[:]
+            assert ring.mul(f, f) == want
+            outcomes[n, b] = tuple(taken)
+            assert len(packs) == (1 if taken == [True] else 0), (n, b)
+            assert ring.mul(f, dict(f)) == want
+            assert taken[1:] == taken[:1] and len(packs) == 3 * (taken == [True] * 2)
+    assert (outcomes[15, 1], outcomes[16, 1], outcomes[31, 1]) == ((), (False,), (False,))
+    assert outcomes[32, 124] == outcomes[40, 124] == outcomes[64, 200] == (True,)
+    assert outcomes[32, 125] == outcomes[63, 200] == (False,)
+
+
 F2 = field_from_spec("F2")
 
 
