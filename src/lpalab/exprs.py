@@ -198,4 +198,7 @@ class _Parser:
 
 
 def parse_element(algebra: LeavittAlgebra, text: str) -> Element:
-    return _Parser(algebra, text).parse()
+    try:
+        return _Parser(algebra, text).parse()
+    except RecursionError:
+        raise ExprError("expression nested too deeply", 0) from None

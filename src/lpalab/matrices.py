@@ -16,9 +16,8 @@ cells on and above the diagonal.  Over Q the Laurent witness recursion runs
 on ``scalars.Z`` (``witness_ring``).
 
 The characteristic-2 index-3 check runs its samples side by side on
-``F2LaurentLanes``, F2[x, x^-1]^n with sample s in bit s of every
-coefficient mask (a sum is a XOR there and a product ANDs masks), and reads
-its draws through ``_draw_reader``; everything that reads
+``F2LaurentLanes``, F2[x, x^-1]^n with sample s in bit s of every coefficient
+mask (a sum XORs masks, a product ANDs them); the code that reads
 exponent-coefficient pairs keeps the dict ring ``scalars.LaurentRing``.
 """
 
@@ -252,7 +251,9 @@ def witness_nge3(ctx: MatrixRingCtx, a, b, c, steps: int) -> MatrixReport:
     Starting from A = a(E12-E21) + b(E13-E31), B = c(E23-E32), the recursion
     keeps the closed coefficient form of ``field_closed_forms``, and X stays
     nonzero because a^2 + b^2 and c are preserved nonzero.  Each step is
-    verified by direct bracket evaluation against the closed forms.
+    verified by direct bracket evaluation against the closed forms.  A, B and X
+    live on indices 1..3 and the corner embedding M_3 -> M_n is an injective
+    Lie *-homomorphism, so the recursion runs in M_3 for every n.
     """
     ring = ctx.ring
     if isinstance(ring, LaurentRing):
@@ -265,7 +266,7 @@ def witness_nge3(ctx: MatrixRingCtx, a, b, c, steps: int) -> MatrixReport:
         raise MatrixLabError("precondition violated: a^2 + b^2 = 0")
     rep = MatrixReport("prop3a", {"a": ring.to_str(a), "b": ring.to_str(b),
                                   "c": ring.to_str(c), "n": ctx.n, "steps": steps})
-    _matrix_recursion(ctx, rep, field_closed_forms(ring, a, b, c), steps)
+    _matrix_recursion(MatrixRingCtx(3, ring), rep, field_closed_forms(ring, a, b, c), steps)
     return rep
 
 
@@ -426,34 +427,9 @@ def _lanes(values) -> int:
     return out
 
 
-# The top byte of a 32-bit word as a draw: deleted when its bit 7 (the word's
-# bit 31) is set, else the ASCII digit of its bit 6 (the word's bit 30).
-_DRAW_DIGITS = bytes(48 + (b >> 6 & 1) for b in range(256))
-_REJECTED = bytes(range(128, 256))
-# Samples checked side by side; a constant, so memory stays bounded for any
-# sample count, and the output does not depend on it.
+# Samples checked side by side, and the width of every mask a batch draws;
+# a constant, so memory stays bounded for any sample count.
 _LANES = 1024
-
-
-def _draw_reader(rng: random.Random):
-    """read(k): the next k ``rng.randrange(2)`` draws as ASCII digits, read
-    from blocks of ``getrandbits`` words; ``char2_laurent_index3_check``
-    gives the argument.  Blocks are read ahead, so ``rng`` ends up past the
-    draws handed out."""
-    rest = b""
-
-    def read(k: int) -> bytes:
-        nonlocal rest
-        parts, have = [rest], len(rest)
-        while have < k:
-            block = rng.getrandbits(32 * 2048).to_bytes(4 * 2048, "little")
-            parts.append(block[3::4].translate(_DRAW_DIGITS, _REJECTED))
-            have += len(parts[-1])
-        digits = b"".join(parts)
-        rest = digits[k:]
-        return digits[:k]
-
-    return read
 
 
 def _skew_entries(A):
@@ -498,22 +474,15 @@ def _skew_2x2(ring, a, b, c):
     return ((a, b), (ring.neg(ring.involute(b)), c))
 
 
-def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
-                               base_field=None) -> MatrixReport:
+def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int, fld) -> MatrixReport:
     """Characteristic-2 solvability bound with sharpness, over F2[x, x^-1].
 
     The samples are checked ``_LANES`` at a time on ``F2LaurentLanes``,
-    sample s of a batch in bit s of every mask.  Each random coefficient is
-    one ``rng.randrange(2)`` draw in exponent order, so a seed gives the
-    samples the dict ring drew, but the draws are read a block of words at a
-    time (``_draw_reader``): ``randrange(2)`` is one ``getrandbits(2)`` per
-    try, the top two bits of one 32-bit Mersenne Twister word, retried while
-    they read 2 or 3.  So a draw is bit 30 of the next word whose bit 31 is
-    clear, and ``getrandbits(32 * k)`` returns the next k words in order, the
-    first one lowest.  A sample takes 24 polynomials of w = 2d + 1 draws, so
-    the lane mask of bit i of polynomial t is every 24w-th digit from t w + i.
-    The generator is local and nothing draws after the samples, so the words
-    read past the last sample change nothing.
+    sample s of a batch in bit s of every mask.  A batch draws each of its
+    24 w masks, w = 2d + 1, as one ``rng.getrandbits(_LANES)`` cut to its
+    lanes; mask j is the coefficient of x^(j % w - d) in polynomial j // w.
+    So sample s is lane s % ``_LANES`` of batch s // ``_LANES``, and the
+    first k samples of a seed are the same for any sample count >= k.
 
     Upper bound: for seeded random skew 8-tuples, the first-level brackets
     X_i have the closed form [[r_i, s_i], [-s_i~, -r_i]], the second-level
@@ -523,9 +492,6 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
     Sharpness, on ``LaurentRing``: the tuple a_i = c_i = 0, b1 = 1, b2 = x,
     v_i = 0, u1 = u2 = 1, w_i = 0 gives [X1, X2] != 0.
     """
-    from .scalars import field_from_spec
-
-    fld = base_field or field_from_spec("F2")
     if fld.characteristic != 2:
         raise MatrixLabError("wrong characteristic: need 2")
     rep = MatrixReport("prop3c-upper", {"samples": samples, "degree_bound": degree_bound,
@@ -535,14 +501,13 @@ def char2_laurent_index3_check(samples: int, degree_bound: int, seed: int,
         "its exact subscripting is immaterial in characteristic 2"
     )
 
-    read = _draw_reader(random.Random(seed))
+    rng = random.Random(seed)
     w = 2 * degree_bound + 1
     for start in range(0, samples, _LANES):
         n = min(_LANES, samples - start)
         ring = F2LaurentLanes(n)
         ctx = MatrixRingCtx(2, ring)
-        digits = read(24 * w * n)
-        masks = [int(digits[j::24 * w][::-1], 2) for j in range(24 * w)]
+        masks = [rng.getrandbits(_LANES) & ((1 << n) - 1) for _ in range(24 * w)]
         polys = [ring.from_bits(-degree_bound, masks[t * w:t * w + w]) for t in range(24)]
         # Per matrix: a skew scalar h + h~, a polynomial b, a skew scalar;
         # A1, B1, A2, B2, ... in turn.

@@ -45,15 +45,20 @@ class MatrixLabError(ValueError):
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Miller-Rabin on the prime bases up to 41, exact below 3.3e24 (Sorenson
+    and Webster, Math. Comp. 86, 2017); a larger p raises ScalarError."""
+    if p >= 3317044064679887385961981:
+        raise ScalarError(f"primality is decided only below 3.3e24 (got {p.bit_length()} bits)")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if p < 2 or any(p % b == 0 for b in bases):
+        return p in bases
+    d = (p - 1) // ((p - 1) & (1 - p))  # p - 1 = d 2^r with d odd
+    for b in bases:
+        x, e = pow(b, d, p), d
+        while e != p - 1 and x not in (1, p - 1):
+            x, e = x * x % p, 2 * e
+        if x != p - 1 and e != d:
             return False
-        d += 2
     return True
 
 
@@ -224,6 +229,8 @@ def field_from_spec(spec: str):
     if s in _FIELDS:
         return _FIELDS[s]
     if s.startswith("F") and s[1:].isdigit():
+        if len(s) > 26:  # past _is_prime's bound, and int() of a long string is slow
+            raise ScalarError(f"field characteristic of {len(s) - 1} digits is too large")
         return PrimeField(int(s[1:]))
     raise ScalarError(f"unknown field spec: {spec!r}")
 

@@ -216,7 +216,7 @@ def test_criterion_06_char2_nilpotency_witness():
 
 def test_criterion_07_char2_laurent_solvability():
     t0 = time.time()
-    rep = char2_laurent_index3_check(1000, 3, 42)
+    rep = char2_laurent_index3_check(1000, 3, 42, F2)
     dt = time.time() - t0
     _report(7, rep.ok and dt < 30.0,
             f"1000 seeded samples, zero failures, sharpness nonzero, {dt:.1f}s")

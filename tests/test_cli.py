@@ -171,6 +171,30 @@ def test_eval_parse_error_exits_2(tmp_path, capsys):
     assert code == 2 and "position" in err
 
 
+def test_eval_nested_too_deeply_exits_2(tmp_path, capsys):
+    path = write_graph(tmp_path, "e4.json", e4_graph(1))
+    code, out, err = run(capsys, "eval", "--graph", path, "--field", "Q",
+                         "--expr", "(" * 5000 + "u" + ")" * 5000)
+    assert (code, out) == (2, "")
+    assert err == "error: expression nested too deeply (at position 0)\n"
+
+
+def test_large_prime_fields(tmp_path, capsys):
+    # Primality is decided by Miller-Rabin, so an 18-digit prime field runs
+    # at once; a field past its bound, or a digit string too long for
+    # int(), is a usage error.
+    path = write_graph(tmp_path, "f1.json", f1_path_graph())
+    code, out, _ = run(capsys, "verify", "--graph", path, "--field", "F100000000000000003")
+    assert code == 0 and json.loads(out)["status"] == "AGREE"
+    code, out, _ = run(capsys, "classify", "--graph", path, "--char", "100000000000000003")
+    assert code == 0 and json.loads(out)["lie_solvable"] == "no"
+    for spec, text in (("F3317044064679887385961981",
+                        "primality is decided only below 3.3e24 (got 82 bits)"),
+                       ("F" + "9" * 5000, "field characteristic of 5000 digits is too large")):
+        code, out, err = run(capsys, "verify", "--graph", path, "--field", spec)
+        assert (code, out, err) == (2, "", f"error: {text}\n")
+
+
 def test_corpus_command(tmp_path, capsys):
     d = tmp_path / "graphs"
     d.mkdir()

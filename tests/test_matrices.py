@@ -20,8 +20,8 @@ from lpalab import (
 from lpalab import matrices, scalars
 from lpalab.matrices import (
     F2LaurentLanes,
+    MatrixReport,
     MatrixRingCtx,
-    _draw_reader,
     char2_laurent_index3_check,
     corollary_field_check,
     corollary_laurent_check,
@@ -188,6 +188,26 @@ def test_witness_nge3_long_runs():
     assert rep.ok
 
 
+def test_witness_nge3_runs_in_m3_for_every_degree():
+    # A, B and X live on indices 1..3: the dense M_n chain is the zero-padded
+    # M_3 chain, and the report is the one a dense M_n run gives.
+    for fld, (a, b, c), steps in ((Q, (Q.one, Q.one, Q.one), 5), (F3, (1, 0, 1), 8)):
+        rep3 = MatrixReport("prop3a", {})
+        chain3 = matrices._matrix_recursion(MatrixRingCtx(3, fld), rep3,
+                                            field_closed_forms(fld, a, b, c), steps)
+        for n in range(3, 7):
+            ctx = MatrixRingCtx(n, fld)
+            ref = MatrixReport("prop3a", {"a": fld.to_str(a), "b": fld.to_str(b),
+                                          "c": fld.to_str(c), "n": n, "steps": steps})
+            chain = matrices._matrix_recursion(ctx, ref, field_closed_forms(fld, a, b, c), steps)
+            padded = [tuple(dense(ctx, {(i + 1, j + 1): x for i, row in enumerate(M)
+                                        for j, x in enumerate(row)}) for M in step)
+                      for step in chain3]
+            assert chain == padded, (fld, n)
+            assert witness_nge3(ctx, a, b, c, steps).to_json_obj() == ref.to_json_obj()
+            assert ref.ok and ref.steps_checked == steps
+
+
 def test_witness_nge3_preconditions():
     with pytest.raises(MatrixLabError, match="c = 0"):
         witness_nge3(MatrixRingCtx(3, Q), Q.one, Q.one, Q.zero, 3)
@@ -253,7 +273,7 @@ def test_char2_laurent_closed_forms_trivial_tuple():
 
 
 def test_char2_laurent_index3_sample_run():
-    rep = char2_laurent_index3_check(60, 3, 42)
+    rep = char2_laurent_index3_check(60, 3, 42, F2)
     assert rep.ok
     assert any("x^-1 + x" in n or "sharpness" in n for n in rep.notes)
     with pytest.raises(MatrixLabError, match="characteristic"):
@@ -274,11 +294,11 @@ def test_char2_laurent_index3_checks_each_sample_matrix_once(monkeypatch):
     for samples, lanes, batches in ((1, 1024, 1), (7, 1024, 1), (7, 3, 3)):
         monkeypatch.setattr(matrices, "_LANES", lanes)
         checked.clear()
-        assert char2_laurent_index3_check(samples, 2, 3).ok
+        assert char2_laurent_index3_check(samples, 2, 3, F2).ok
         assert len(checked) == 8 * batches
     monkeypatch.setattr(matrices, "is_skew", lambda ctx, A: False)
     with pytest.raises(MatrixLabError, match="not skew"):
-        char2_laurent_index3_check(1, 2, 3)
+        char2_laurent_index3_check(1, 2, 3, F2)
 
 
 def test_char2_laurent_index3_reports_a_wrong_closed_form(monkeypatch):
@@ -287,29 +307,28 @@ def test_char2_laurent_index3_reports_a_wrong_closed_form(monkeypatch):
         return grid([[ctx.ring.add(r, ctx.ring.one), s], row2])
 
     monkeypatch.setattr(matrices, "first_bracket_closed_form", perturbed)
-    rep = char2_laurent_index3_check(3, 2, 1)
+    rep = char2_laurent_index3_check(3, 2, 1, F2)
     assert rep.failures == [f"sample {i}: X_{k} differs from closed form"
                             for i in range(3) for k in range(1, 5)]
 
 
 def _reference_samples(seed, samples, degree_bound):
     """Per sample, (A1..A4, B1..B4) of prop3c-upper over LaurentRing(F2),
-    each coefficient one ``rng.randrange(2)`` draw in exponent order."""
-    ring = LaurentRing(F2)
+    one sample at a time: a batch of ``matrices._LANES`` samples draws 24
+    polynomials of w = 2d + 1 masks, each one ``getrandbits(_LANES)`` in
+    exponent order, and sample s reads bit s % _LANES of its batch's masks."""
+    ring, lanes = LaurentRing(F2), matrices._LANES
     rng = random.Random(seed)
-
-    def poly():
-        return {e: 1 for e in range(-degree_bound, degree_bound + 1) if rng.randrange(2)}
-
-    def skew_scalar():
-        h = poly()
-        return ring.add(h, ring.involute(h))
-
+    w = 2 * degree_bound + 1
     out = []
-    for _ in range(samples):
+    for idx in range(samples):
+        if idx % lanes == 0:
+            masks = [rng.getrandbits(lanes) for _ in range(24 * w)]
+        bits = [m >> idx % lanes & 1 for m in masks]
+        polys = [{e - degree_bound: 1 for e in range(w) if bits[t * w + e]} for t in range(24)]
         mats = []
-        for _ in range(8):
-            a, b, c = skew_scalar(), poly(), skew_scalar()
+        for a, b, c in zip(polys[0::3], polys[1::3], polys[2::3]):
+            a, c = ring.add(a, ring.involute(a)), ring.add(c, ring.involute(c))
             mats.append(grid([[a, b], [ring.involute(b), c]]))
         out.append((mats[0::2], mats[1::2]))
     return out
@@ -345,7 +364,7 @@ def test_char2_laurent_index3_lanes_are_the_per_sample_computation(seed, monkeyp
     # Batches of 3 lanes over 8 samples: two full batches and a part one.
     # Every lane of every A, B, X and Y is the per-sample LaurentRing(F2)
     # value, and the report does not depend on the batch size.
-    want = char2_laurent_index3_check(8, 2, seed).to_json_obj()
+    want = char2_laurent_index3_check(8, 2, seed, F2).to_json_obj()
     calls = []
     bracket = matrices.mat_bracket
 
@@ -357,7 +376,7 @@ def test_char2_laurent_index3_lanes_are_the_per_sample_computation(seed, monkeyp
 
     monkeypatch.setattr(matrices, "mat_bracket", recording)
     monkeypatch.setattr(matrices, "_LANES", 3)
-    assert char2_laurent_index3_check(8, 2, seed).to_json_obj() == want
+    assert char2_laurent_index3_check(8, 2, seed, F2).to_json_obj() == want
     ctx = MatrixRingCtx(2, LaurentRing(F2))
     # Per batch: X1..X4 = [Ai, Bi], Y1 = [X1, X2], Y2 = [X3, X4], [Y1, Y2].
     assert len(calls) == 7 * 3
@@ -372,30 +391,47 @@ def test_char2_laurent_index3_lanes_are_the_per_sample_computation(seed, monkeyp
         assert mat_is_zero(ctx, _lane_of(batch[6][2], s))
 
 
+_lanes_mul = F2LaurentLanes.mul
+
+
+def _lanes_drop_top(self, f, g):
+    """``F2LaurentLanes.mul`` with the top term of every lane dropped."""
+    out, seen = {}, 0  # seen: the lanes with a term above e
+    for e, m in sorted(_lanes_mul(self, f, g).items(), reverse=True):
+        if m & seen:
+            out[e] = m & seen
+        seen |= m
+    return out
+
+
 def test_char2_laurent_index3_reports_a_product_that_drops_its_top_term(monkeypatch):
     # The same mutation on both rings gives the per-sample failure lines,
     # and the sharpness instance, on LaurentRing, fails as well.
-    lanes_mul, dict_mul = F2LaurentLanes.mul, LaurentRing.mul
-
-    def lanes_drop_top(self, f, g):
-        out, seen = {}, 0  # seen: the lanes with a term above e
-        for e, m in sorted(lanes_mul(self, f, g).items(), reverse=True):
-            if m & seen:
-                out[e] = m & seen
-            seen |= m
-        return out
+    dict_mul = LaurentRing.mul
 
     def dict_drop_top(self, f, g):
         out = dict_mul(self, f, g)
         top = max(out, default=None)
         return {e: c for e, c in out.items() if e != top}
 
-    monkeypatch.setattr(F2LaurentLanes, "mul", lanes_drop_top)
+    monkeypatch.setattr(F2LaurentLanes, "mul", _lanes_drop_top)
     monkeypatch.setattr(LaurentRing, "mul", dict_drop_top)
-    rep = char2_laurent_index3_check(5, 2, 1)
+    rep = char2_laurent_index3_check(5, 2, 1, F2)
     assert "sample 0: X_1 differs from closed form" in rep.failures
     assert rep.failures == _reference_failures(1, 5, 2) + [
         "sharpness instance collapsed to zero", "sharpness diagonal is not (x^-1 + x) u1^2"]
+
+
+def test_char2_laurent_index3_first_samples_do_not_depend_on_the_sample_count(monkeypatch):
+    # Every batch draws whole _LANES-bit masks, so the samples of a 7-sample
+    # run are the first 7 of a 20-sample run, batches of 3 and the part
+    # batch of one alike; a mutated product names them in its failures.
+    monkeypatch.setattr(F2LaurentLanes, "mul", _lanes_drop_top)
+    monkeypatch.setattr(matrices, "_LANES", 3)
+    short = char2_laurent_index3_check(7, 2, 5, F2).failures
+    long = char2_laurent_index3_check(20, 2, 5, F2).failures
+    assert {f.split(":")[0] for f in short} == {f"sample {s}" for s in range(7)}
+    assert short == [f for f in long if int(f.split(":")[0].split()[1]) < 7]
 
 
 def test_char2_laurent_index3_reports_exactly_the_sample_of_a_wrong_lane(monkeypatch):
@@ -412,46 +448,8 @@ def test_char2_laurent_index3_reports_exactly_the_sample_of_a_wrong_lane(monkeyp
         return out
 
     monkeypatch.setattr(F2LaurentLanes, "mul", wrong_lane)
-    rep = char2_laurent_index3_check(12, 2, 1)
+    rep = char2_laurent_index3_check(12, 2, 1, F2)
     assert rep.failures and {f.split(":")[0] for f in rep.failures} == {"sample 5"}
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 31 - 1])
-def test_draw_masks_are_the_randrange_stream(seed):
-    # The digit reader hands out the randrange(2) stream in pieces of any
-    # size; 5,000 draws take about 10,000 words, several blocks of them.
-    read = _draw_reader(random.Random(seed))
-    digits = b"".join(read(k) for k in (1, 7, 0, 4000, 992))
-    rng = random.Random(seed)
-    draws = [rng.randrange(2) for _ in range(5000)]
-    assert digits == bytes(48 + d for d in draws)
-    # The check's lane masks: bit s of mask j is draw s * 40 + j.
-    assert [int(digits[j::40][::-1], 2) for j in range(40)] == [
-        sum(draws[s * 40 + j] << s for s in range(125)) for j in range(40)]
-
-
-@pytest.mark.parametrize("seed", [3, 7, 1909])
-def test_char2_laurent_index3_draws_the_randrange_polynomials(seed, monkeypatch):
-    drawn = []
-    draw_reader = matrices._draw_reader
-
-    def recording(rng):
-        read = draw_reader(rng)
-
-        def reading(k):
-            digits = read(k)
-            drawn.append(digits)
-            return digits
-
-        return reading
-
-    monkeypatch.setattr(matrices, "_draw_reader", recording)
-    monkeypatch.setattr(matrices, "_LANES", 25)
-    assert char2_laurent_index3_check(60, 3, seed).ok
-    # 24 polynomials of 7 draws a sample: a, b, c of four A and four B.
-    assert [len(d) for d in drawn] == [25 * 24 * 7, 25 * 24 * 7, 10 * 24 * 7]
-    rng = random.Random(seed)
-    assert b"".join(drawn) == bytes(48 + rng.randrange(2) for _ in range(60 * 24 * 7))
 
 
 def test_char2_laurent_sharpness_diagonal():
@@ -554,8 +552,8 @@ def test_corollary_checks():
 
 
 def test_determinism_same_seed():
-    a = char2_laurent_index3_check(25, 2, 7)
-    b = char2_laurent_index3_check(25, 2, 7)
+    a = char2_laurent_index3_check(25, 2, 7, F2)
+    b = char2_laurent_index3_check(25, 2, 7, F2)
     assert a.to_json_obj() == b.to_json_obj()
 
 

@@ -57,6 +57,31 @@ def test_field_specs():
         PrimeField(6)
 
 
+def test_is_prime_matches_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+    assert [p for p in range(10 ** 5) if scalars._is_prime(p)] == [
+        p for p in range(10 ** 5) if trial(p)]
+    # Strong pseudoprimes to every prime base up to 31 and 37, and primes.
+    assert not scalars._is_prime(3825123056546413051)
+    assert not scalars._is_prime(318665857834031151167461)
+    assert all(scalars._is_prime(p) for p in (2 ** 61 - 1, 10 ** 17 + 3, 10 ** 24 + 7))
+
+
+def test_large_field_specs_are_decided_or_refused():
+    assert field_from_spec("F100000000000000003").characteristic == 10 ** 17 + 3
+    assert field_of_characteristic(10 ** 17 + 3).characteristic == 10 ** 17 + 3
+    # Miller-Rabin on the bases up to 41 is exact only below 3.3e24.
+    with pytest.raises(ScalarError, match="only below 3.3e24"):
+        field_from_spec("F3317044064679887385961981")
+    with pytest.raises(ScalarError, match="only below 3.3e24"):
+        field_of_characteristic(10 ** 4000)
+    # The digit count is checked before int() reads the digits.
+    with pytest.raises(ScalarError, match="of 5000 digits is too large"):
+        field_from_spec("F" + "9" * 5000)
+
+
 def test_field_axioms_random():
     rng = random.Random(7)
     for fld in FIELDS:
